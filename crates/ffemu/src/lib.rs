@@ -36,6 +36,25 @@
 //! [`predict_ptr`] runs the identical monomorphised code over the
 //! pointer tree. Both views yield the same logical traversal, so the
 //! predictions are bit-identical (pinned in `tests/ff_runaware.rs`).
+//!
+//! **Closed forms.** The heap only has to order *side effects*: chunk
+//! requests to a shared dispenser, lock acquisitions, nested sections and
+//! a rank's finish. A `U`-only task has none, so three exact shortcuts
+//! replace per-op heap steps (DESIGN.md §12):
+//!
+//! * a `static`/`static,c` section of `U`-only tasks is computed per rank
+//!   in closed form, since its chunk sequences are fixed;
+//! * a `U`-only chunk of any schedule advances its rank by the chunk's
+//!   whole cost in the pop that dispatches it, using per-task costs
+//!   memoized per (node, burden);
+//! * when every rank of a `dynamic`/`guided` section waits to request a
+//!   chunk and the next chunks are equal-length and `U`-only with one
+//!   cost `Δ > 0`, the heap's pop order is the sorted union of per-rank
+//!   progressions `t_i + jΔ`, so a whole stretch is handed out at once.
+//!
+//! Chunks with a lock or a nested section, a forced
+//! [`FfOptions::expand_runs`] and an attached obs recorder keep the
+//! per-op heap path.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -81,10 +100,11 @@ pub struct FfOptions {
     /// support (the Suitability-like baseline) set this to `false` and
     /// emulate pipeline regions serially.
     pub model_pipelines: bool,
-    /// Test-only escape hatch: disable the run-aware closed-form fast
-    /// path and emulate every logical iteration through the heap. The
+    /// Test-only escape hatch: disable every closed form (static runs,
+    /// one-step `U`-only chunks, batched `dynamic`/`guided` hand-out) and
+    /// emulate each op of each logical iteration through the heap. The
     /// prediction is bit-identical either way (see `tests/ff_runaware.rs`);
-    /// expansion merely restores the O(trip count) emulation cost.
+    /// expansion merely restores the O(ops) emulation cost.
     pub expand_runs: bool,
 }
 
@@ -105,15 +125,18 @@ impl FfOptions {
 
 /// Fast-path effectiveness counters from one FF prediction. Exposed via
 /// [`predict_counting`]; publish into a metrics registry with
-/// [`publish_counters`] (obs feature).
+/// [`publish_counters`] (obs feature). Both stay zero on the per-op path
+/// (`expand_runs`, an attached recorder).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FfCounters {
-    /// Child runs advanced in closed form instead of per-iteration heap
-    /// emulation (one per `(task, count)` run of a fast-pathed section).
+    /// Closed-form advances: one per `(task, count)` run of a static
+    /// closed-form section, plus one per batched `dynamic`/`guided`
+    /// hand-out.
     pub runs_fastpathed: u64,
-    /// Logical iterations beyond each run's representative whose heap
-    /// emulation was skipped (`Σ count - Σ runs` over fast-pathed
-    /// sections).
+    /// Logical iterations advanced without a heap step of their own:
+    /// `Σ count − Σ runs` over static closed-form sections, all but one
+    /// iteration of each one-step chunk, and all but one iteration of
+    /// each batched hand-out.
     pub iters_skipped: u64,
 }
 
@@ -130,12 +153,15 @@ pub struct FfPrediction {
     pub sections: Vec<(u64, u64)>,
 }
 
-/// Steadiness table entry for the closed-form fast path: one child run
-/// covering logical iterations `[lo, hi)`, each costing `cost` cycles.
+/// One child run of a section: logical iterations `[lo, hi)` all run
+/// `task`. `cost` is one iteration (`iter_start` plus the task's scaled
+/// `U` ops) when the body is `U`-only, `None` when it holds a lock or a
+/// nested section.
 struct RunCost {
     lo: u64,
     hi: u64,
-    cost: u64,
+    task: NodeId,
+    cost: Option<u64>,
 }
 
 /// Emulator state shared across a whole program emulation, generic over
@@ -148,21 +174,19 @@ struct FfState<'t, V: TreeView<'t>> {
     cpu_time: Vec<u64>,
     /// Per-user-lock free-at clock.
     lock_free: HashMap<LockId, u64>,
-    /// Recycled task-list buffers: `emulate_section` borrows one per
+    /// Recycled run-cost tables: `emulate_section` borrows one per
     /// activation and returns it on exit, so deep grids re-use the same
     /// handful of allocations instead of collecting a fresh `Vec` per
     /// section (the per-node scratch arena).
-    task_buf_pool: Vec<Vec<NodeId>>,
-    /// Recycled run-cost tables for `fastpath_section` (same discipline
-    /// as `task_buf_pool`: borrowed per activation, returned on exit).
     run_cost_pool: Vec<Vec<RunCost>>,
-    /// Dense per-node iteration-cost memo for `fastpath_section`,
-    /// invalidated wholesale by bumping `stamp` instead of reallocating
-    /// a hash map per call. `cost_val[id]` is meaningful only when
-    /// `cost_stamp[id] == stamp`.
+    /// Dense per-node iteration-cost memo for `cost_runs`, invalidated
+    /// wholesale by bumping `stamp` (when the burden in `memo_burden`
+    /// changes) instead of reallocating a hash map per call.
+    /// `cost_val[id]` is meaningful only when `cost_stamp[id] == stamp`.
     cost_stamp: Vec<u64>,
     cost_val: Vec<Option<u64>>,
     stamp: u64,
+    memo_burden: Option<u64>,
     /// Fast-path effectiveness counters for this prediction.
     counters: FfCounters,
     /// Structured event recorder (emulated-time timestamps).
@@ -178,16 +202,27 @@ impl<'t, V: TreeView<'t>> FfState<'t, V> {
             opts,
             cpu_time: vec![0; opts.cpus.max(1) as usize],
             lock_free: HashMap::new(),
-            task_buf_pool: Vec::new(),
             run_cost_pool: Vec::new(),
             cost_stamp: Vec::new(),
             cost_val: Vec::new(),
             stamp: 0,
+            memo_burden: None,
             counters: FfCounters::default(),
             #[cfg(feature = "obs")]
             obs: None,
             _tree: PhantomData,
         }
+    }
+
+    /// Whether closed forms may replace per-iteration heap steps: not
+    /// when expansion is forced, nor when a recorder must see every
+    /// `EmuHeapPop`/`ChunkDispatch` event.
+    fn closed_forms(&self) -> bool {
+        #[cfg(feature = "obs")]
+        if self.obs.is_some() {
+            return false;
+        }
+        !self.opts.expand_runs
     }
 }
 
@@ -350,67 +385,36 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
     }
 }
 
-/// Run-aware closed-form emulation of one section, or `None` when a
-/// steadiness precondition fails and the exact per-iteration path must
-/// run instead (DESIGN.md §12).
-///
-/// Preconditions: static/static,c schedule (per-rank chunk sequences are
-/// fixed, independent of arrival order) and pure-`U` task bodies (locks
-/// couple ranks through the shared per-lock clock; nested sections book
-/// time on other CPUs). Under them every rank's final clock is
-/// `start + dispatches·dispatch_ovh + Σ_assigned (iter_start + body)`,
-/// a sum of the identical u64 terms the heap path accumulates one pop at
-/// a time — so the result is bit-identical, computed in O(ranks × runs).
-fn fastpath_section<'t, V: TreeView<'t>>(
+/// Fill `out` with `sec`'s child runs and their per-iteration costs under
+/// `burden`, returning the logical task count. A task's cost is memoized
+/// per node in the stamped `cost_stamp`/`cost_val` arena; the stamp moves
+/// only when the burden does, because the cost depends on nothing else.
+fn cost_runs<'t, V: TreeView<'t>>(
     st: &mut FfState<'t, V>,
     sec: NodeId,
-    host: usize,
-    start: u64,
     burden: f64,
-) -> Option<u64> {
-    if st.opts.expand_runs {
-        return None;
-    }
-    // The fast path emits no per-iteration events (EmuHeapPop,
-    // ChunkDispatch): with a recorder attached, keep the full trace.
-    #[cfg(feature = "obs")]
-    if st.obs.is_some() {
-        return None;
-    }
-    let chunk = match st.opts.schedule {
-        Schedule::Static { chunk } => chunk,
-        _ => return None,
-    };
+    out: &mut Vec<RunCost>,
+) -> u64 {
     let view = st.view;
-    let opts = st.opts;
-
-    // Steadiness check + per-run cost table. `cost` is one iteration of
-    // the run's representative task: iter_start + its scaled U ops. Both
-    // the table and the memo are recycled across activations: the table
-    // through a pool, the memo through a dense stamped array (a fresh
-    // stamp invalidates every entry at once).
     let nc = view.node_count();
     if st.cost_stamp.len() < nc {
         st.cost_stamp.resize(nc, 0);
         st.cost_val.resize(nc, None);
     }
-    st.stamp += 1;
+    if st.memo_burden != Some(burden.to_bits()) {
+        st.memo_burden = Some(burden.to_bits());
+        st.stamp += 1;
+    }
     let stamp = st.stamp;
-    let mut run_costs = st.run_cost_pool.pop().unwrap_or_default();
-    run_costs.clear();
+    out.clear();
     let mut n_total = 0u64;
-    let mut steady = true;
     for (task, count) in view.child_runs(sec) {
         let ti = task as usize;
         if st.cost_stamp[ti] != stamp {
-            let mut c = Some(opts.overheads.iter_start);
+            let mut c = Some(st.opts.overheads.iter_start);
             for (op, k) in view.child_runs(task) {
-                match view.kind(op) {
-                    ViewKind::U => {
-                        if let Some(c) = c.as_mut() {
-                            *c += k as u64 * scale(view.length(op), burden);
-                        }
-                    }
+                match (view.kind(op), c.as_mut()) {
+                    (ViewKind::U, Some(c)) => *c += k as u64 * scale(view.length(op), burden),
                     _ => {
                         c = None;
                         break;
@@ -420,30 +424,69 @@ fn fastpath_section<'t, V: TreeView<'t>>(
             st.cost_stamp[ti] = stamp;
             st.cost_val[ti] = c;
         }
-        let Some(cost) = st.cost_val[ti] else {
-            steady = false;
-            break;
-        };
-        run_costs.push(RunCost {
+        out.push(RunCost {
             lo: n_total,
             hi: n_total + count as u64,
-            cost,
+            task,
+            cost: st.cost_val[ti],
         });
         n_total += count as u64;
     }
-    if !steady {
-        st.run_cost_pool.push(run_costs);
+    n_total
+}
+
+/// Emulate one section hosted by `host`, starting at `start`. Returns the
+/// section end time (after the implicit barrier and join overhead).
+fn emulate_section<'t, V: TreeView<'t>>(
+    st: &mut FfState<'t, V>,
+    sec: NodeId,
+    host: usize,
+    start: u64,
+    burden: f64,
+) -> u64 {
+    let mut runs = st.run_cost_pool.pop().unwrap_or_default();
+    let n_tasks = cost_runs(st, sec, burden, &mut runs);
+    let end = if n_tasks == 0 {
+        start + st.opts.overheads.parallel_start + st.opts.overheads.parallel_end
+    } else if let Some(end) = static_closed_form(st, &runs, n_tasks, host, start) {
+        end
+    } else {
+        heap_section(st, &runs, n_tasks, host, start, burden)
+    };
+    st.run_cost_pool.push(runs);
+    end
+}
+
+/// Closed-form emulation of a `static`/`static,c` section whose task
+/// bodies are all `U`-only, or `None` when a precondition fails
+/// (DESIGN.md §12).
+///
+/// The per-rank chunk sequences of a static schedule are fixed,
+/// independent of arrival order, and a `U`-only body has no side effect,
+/// so every rank's final clock is `start + dispatches·dispatch_ovh +
+/// Σ_assigned (iter_start + body)`: a sum of the identical u64 terms the
+/// heap path accumulates one pop at a time, computed in O(ranks × runs).
+fn static_closed_form<'t, V: TreeView<'t>>(
+    st: &mut FfState<'t, V>,
+    runs: &[RunCost],
+    n_total: u64,
+    host: usize,
+    start: u64,
+) -> Option<u64> {
+    let chunk = match st.opts.schedule {
+        Schedule::Static { chunk } if st.closed_forms() => chunk,
+        _ => return None,
+    };
+    if runs.iter().any(|rc| rc.cost.is_none()) {
         return None;
     }
-    if n_total == 0 {
-        st.run_cost_pool.push(run_costs);
-        return Some(start + opts.overheads.parallel_start + opts.overheads.parallel_end);
-    }
-
+    let opts = st.opts;
     let nranks = st.cpu_time.len();
     let team = nranks as u64;
     let body_start = start + opts.overheads.parallel_start;
     let dispatch_ovh = opts.overheads.dispatch_for(&opts.schedule);
+    // Per-run iteration cost; every run was checked `U`-only above.
+    let cost = |rc: &RunCost| rc.cost.unwrap_or(0);
     let mut section_end = body_start;
     for r in 0..nranks {
         let cpu = (host + r) % nranks;
@@ -458,15 +501,15 @@ fn fastpath_section<'t, V: TreeView<'t>>(
                 let rem = n_total % team;
                 let lo = r64 * base + r64.min(rem);
                 let size = base + u64::from(r64 < rem);
-                let mut cost = 0u64;
-                for rc in &run_costs {
+                let mut body = 0u64;
+                for rc in runs {
                     let a = rc.lo.max(lo);
                     let b = rc.hi.min(lo + size);
                     if b > a {
-                        cost += (b - a) * rc.cost;
+                        body += (b - a) * cost(rc);
                     }
                 }
-                (size, u64::from(size > 0), cost)
+                (size, u64::from(size > 0), body)
             }
             Some(c) => {
                 // static,c: chunks [r·c + j·team·c, +c) ∩ [0, n). The
@@ -480,13 +523,13 @@ fn fastpath_section<'t, V: TreeView<'t>>(
                     let dispatches = (n_total - r64 * c).div_ceil(period);
                     let f = |x: u64| (x / period) * c + (x % period).saturating_sub(r64 * c).min(c);
                     let mut assigned = 0u64;
-                    let mut cost = 0u64;
-                    for rc in &run_costs {
+                    let mut body = 0u64;
+                    for rc in runs {
                         let k = f(rc.hi) - f(rc.lo);
                         assigned += k;
-                        cost += k * rc.cost;
+                        body += k * cost(rc);
                     }
-                    (assigned, dispatches, cost)
+                    (assigned, dispatches, body)
                 }
             }
         };
@@ -496,39 +539,149 @@ fn fastpath_section<'t, V: TreeView<'t>>(
             st.cpu_time[cpu] = st.cpu_time[cpu].max(end);
         }
     }
-    st.counters.runs_fastpathed += run_costs.len() as u64;
-    st.counters.iters_skipped += n_total - run_costs.len() as u64;
-    st.run_cost_pool.push(run_costs);
+    st.counters.runs_fastpathed += runs.len() as u64;
+    st.counters.iters_skipped += n_total - runs.len() as u64;
     Some(section_end + opts.overheads.parallel_end)
 }
 
-/// Emulate one section hosted by `host`, starting at `start`. Returns the
-/// section end time (after the implicit barrier and join overhead).
-fn emulate_section<'t, V: TreeView<'t>>(
+/// Total cost of the chunk `[s, e)` when every task in it is `U`-only:
+/// the sum over the runs it overlaps of `overlap × iteration cost`.
+/// `runs` starts at the run holding `s`.
+fn chunk_cost(runs: &[RunCost], s: u64, e: u64) -> Option<u64> {
+    let mut total = 0u64;
+    for rc in runs.iter().take_while(|rc| rc.lo < e) {
+        total += (rc.hi.min(e) - rc.lo.max(s)) * rc.cost?;
+    }
+    Some(total)
+}
+
+/// Batched hand-out over a uniform stretch of a `dynamic`/`guided`
+/// section. Applies when every live rank waits to request its next chunk
+/// and the dispenser's next `m ≥ 2` chunks have equal length and lie in
+/// consecutive `U`-only runs of one iteration cost, so each chunk costs
+/// the same `Δ > 0`. The heap then pops the `m` smallest keys of the
+/// union of per-rank progressions `{(t_i + jΔ, i) : j ≥ 0}`, so rank `i`
+/// takes `k_i` of the chunks and advances by `k_i·Δ`. The threshold is
+/// found by binary search on the number of keys below it; keys tied at
+/// the threshold go to the lowest ranks, as the heap's `(time, rank)`
+/// order does. Returns `false`, changing nothing, when the stretch does
+/// not qualify. `split` is scratch space, reused across calls.
+fn hand_out_batch(
+    ranks: &mut [CpuRun],
+    runs: &[RunCost],
+    dispenser: &mut Dispenser,
+    dispatch: u64,
+    counters: &mut FfCounters,
+    split: &mut Vec<(u64, u64, usize)>,
+) -> bool {
+    let Some(next) = dispenser.peek_run() else {
+        return false;
+    };
+    if next.count < 2 {
+        return false;
+    }
+    let (s, len) = (next.start as u64, next.len as u64);
+    let first = runs.partition_point(|rc| rc.hi <= s);
+    let Some(cost) = runs[first].cost else {
+        return false;
+    };
+    let want = s + next.count as u64 * len;
+    let mut hi = runs[first].hi;
+    for rc in &runs[first + 1..] {
+        if hi >= want || rc.cost != Some(cost) {
+            break;
+        }
+        hi = rc.hi;
+    }
+    let m = (next.count as u64).min((hi - s) / len);
+    let delta = dispatch + len * cost;
+    if m < 2 || delta == 0 {
+        return false;
+    }
+    if !ranks
+        .iter()
+        .all(|r| r.done || (r.ops.is_empty() && r.pending.is_empty()))
+    {
+        return false;
+    }
+    // Split each clock as t_i = t_min + a_i·Δ + b_i (0 ≤ b_i < Δ): in
+    // round J, the keys in [t_min + JΔ, t_min + (J+1)Δ), every rank with
+    // a_i ≤ J holds exactly one key, ordered by (b_i, i). Find the round
+    // holding the m-th key, then take that round's keys in order.
+    let t_min = ranks
+        .iter()
+        .filter(|r| !r.done)
+        .map(|r| r.time)
+        .min()
+        .expect("a rank requested a chunk");
+    split.clear();
+    split.extend(
+        ranks
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.done)
+            .map(|(i, r)| ((r.time - t_min) / delta, (r.time - t_min) % delta, i)),
+    );
+    // Keys in rounds 0..=j.
+    let through = |j: u64| -> u64 {
+        split
+            .iter()
+            .map(|&(a, _, _)| (j + 1).saturating_sub(a))
+            .sum()
+    };
+    // The earliest rank alone has m keys by round m-1.
+    let (mut lo, mut up) = (0u64, m - 1);
+    while lo < up {
+        let mid = lo + (up - lo) / 2;
+        if through(mid) >= m {
+            up = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let round = lo;
+    let before = if round == 0 { 0 } else { through(round - 1) };
+    for &(a, _, i) in split.iter() {
+        let k = round.saturating_sub(a);
+        ranks[i].time += k * delta;
+        ranks[i].executed_any |= k > 0;
+    }
+    split.retain(|&(a, _, _)| a <= round);
+    split.sort_unstable_by_key(|&(_, b, i)| (b, i));
+    for &(_, _, i) in &split[..(m - before) as usize] {
+        ranks[i].time += delta;
+        ranks[i].executed_any = true;
+    }
+    let handed = dispenser.advance_chunks(0, m as usize);
+    debug_assert_eq!(handed as u64, m);
+    counters.runs_fastpathed += 1;
+    counters.iters_skipped += m * len - 1;
+    true
+}
+
+/// Emulate a section through the priority heap (paper §IV-C). Each pop
+/// serves one rank at its clock: a chunk request, the start of a task, or
+/// one op. Unless per-iteration expansion is forced, a `U`-only chunk is
+/// advanced in the same pop that dispatches it, and uniform stretches of
+/// a `dynamic`/`guided` section go out in batches ([`hand_out_batch`]).
+fn heap_section<'t, V: TreeView<'t>>(
     st: &mut FfState<'t, V>,
-    sec: NodeId,
+    runs: &[RunCost],
+    n_tasks: u64,
     host: usize,
     start: u64,
     burden: f64,
 ) -> u64 {
-    if let Some(end) = fastpath_section(st, sec, host, start, burden) {
-        return end;
-    }
     let view = st.view;
     let n = st.cpu_time.len();
-    let mut tasks = st.task_buf_pool.pop().unwrap_or_default();
-    tasks.clear();
-    tasks.extend(view.expanded(sec));
-    if tasks.is_empty() {
-        st.task_buf_pool.push(tasks);
-        return start + st.opts.overheads.parallel_start + st.opts.overheads.parallel_end;
-    }
+    let whole_chunks = st.closed_forms();
     let body_start = start + st.opts.overheads.parallel_start;
-    let mut dispenser = Dispenser::new(st.opts.schedule, tasks.len(), n as u32);
+    let dispatch = st.opts.overheads.dispatch_for(&st.opts.schedule);
+    let mut dispenser = Dispenser::new(st.opts.schedule, n_tasks as usize, n as u32);
 
     // Rank r runs on CPU (host + r) mod n: nested sections start their
     // round-robin at the host CPU (the Fig. 7 behaviour).
-    let mut runs: Vec<CpuRun> = (0..n)
+    let mut ranks: Vec<CpuRun> = (0..n)
         .map(|r| {
             let cpu = (host + r) % n;
             CpuRun {
@@ -543,86 +696,124 @@ fn emulate_section<'t, V: TreeView<'t>>(
         })
         .collect();
 
-    // Priority heap serialising the competing CPUs (paper §IV-C).
+    // Priority heap serialising the competing CPUs; every live rank has
+    // exactly one entry, keyed by its clock.
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..n).map(|i| Reverse((runs[i].time, i))).collect();
+        (0..n).map(|i| Reverse((ranks[i].time, i))).collect();
 
     let mut section_end = body_start;
+    let mut split = Vec::new();
     while let Some(Reverse((t, i))) = heap.pop() {
-        if runs[i].done || t < runs[i].time {
-            // Stale entry (time advanced since push).
-            if !runs[i].done && t < runs[i].time {
-                heap.push(Reverse((runs[i].time, i)));
-            }
-            continue;
-        }
+        debug_assert_eq!(t, ranks[i].time);
         obs_at!(
             st,
             t,
             EmuHeapPop {
-                cpu: runs[i].cpu as u32
+                cpu: ranks[i].cpu as u32
             }
         );
         // Need a task op to execute?
-        if runs[i].ops.is_empty() {
-            if runs[i].pending.is_empty() {
-                match dispenser.next_chunk(runs[i].rank) {
+        if ranks[i].ops.is_empty() {
+            if ranks[i].pending.is_empty() {
+                // After a batch every rank still waits at a chunk
+                // boundary, so the next stretch may go out at once too.
+                let mut batched = false;
+                while whole_chunks
+                    && hand_out_batch(
+                        &mut ranks,
+                        runs,
+                        &mut dispenser,
+                        dispatch,
+                        &mut st.counters,
+                        &mut split,
+                    )
+                {
+                    batched = true;
+                }
+                if batched {
+                    heap.clear();
+                    heap.extend(
+                        ranks
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, r)| !r.done)
+                            .map(|(j, r)| Reverse((r.time, j))),
+                    );
+                    continue;
+                }
+                match dispenser.next_chunk(ranks[i].rank) {
                     Some((s, e)) => {
-                        runs[i].time += st.opts.overheads.dispatch_for(&st.opts.schedule);
+                        ranks[i].time += dispatch;
                         obs_at!(
                             st,
-                            runs[i].time,
+                            ranks[i].time,
                             ChunkDispatch {
-                                worker: runs[i].rank,
+                                worker: ranks[i].rank,
                                 lo: s as u32,
                                 hi: e as u32
                             }
                         );
-                        for t in &tasks[s..e] {
-                            runs[i].pending.push_back(*t);
+                        let (s, e) = (s as u64, e as u64);
+                        let first = runs.partition_point(|rc| rc.hi <= s);
+                        let cost = chunk_cost(&runs[first..], s, e).filter(|_| whole_chunks);
+                        if let Some(cost) = cost {
+                            // No side effect until the next request:
+                            // the whole chunk is one step.
+                            ranks[i].time += cost;
+                            ranks[i].executed_any = true;
+                            st.counters.iters_skipped += e - s - 1;
+                            heap.push(Reverse((ranks[i].time, i)));
+                            continue;
+                        }
+                        for rc in runs[first..].iter().take_while(|rc| rc.lo < e) {
+                            let k = rc.hi.min(e) - rc.lo.max(s);
+                            ranks[i]
+                                .pending
+                                .extend(std::iter::repeat_n(rc.task, k as usize));
                         }
                     }
                     None => {
-                        runs[i].done = true;
-                        if runs[i].executed_any {
-                            section_end = section_end.max(runs[i].time);
-                            st.cpu_time[runs[i].cpu] = st.cpu_time[runs[i].cpu].max(runs[i].time);
+                        ranks[i].done = true;
+                        if ranks[i].executed_any {
+                            section_end = section_end.max(ranks[i].time);
+                            st.cpu_time[ranks[i].cpu] =
+                                st.cpu_time[ranks[i].cpu].max(ranks[i].time);
                         }
                         continue;
                     }
                 }
             }
-            if let Some(task) = runs[i].pending.pop_front() {
-                runs[i].time += st.opts.overheads.iter_start;
-                runs[i].executed_any = true;
+            if let Some(task) = ranks[i].pending.pop_front() {
+                ranks[i].time += st.opts.overheads.iter_start;
+                ranks[i].executed_any = true;
                 // Refill the run's op queue in place: the buffer persists
                 // across the section's tasks, so steady state allocates
                 // nothing per task.
-                runs[i].ops.clear();
-                runs[i].ops.extend(view.expanded(task));
+                ranks[i].ops.clear();
+                ranks[i].ops.extend(view.expanded(task));
             }
-            heap.push(Reverse((runs[i].time, i)));
+            heap.push(Reverse((ranks[i].time, i)));
             continue;
         }
 
         // Execute exactly one op, then requeue.
-        let op = runs[i].ops.pop_front().expect("checked non-empty");
+        let op = ranks[i].ops.pop_front().expect("checked non-empty");
         match view.kind(op) {
             ViewKind::U => {
-                runs[i].time += scale(view.length(op), burden);
+                ranks[i].time += scale(view.length(op), burden);
             }
             ViewKind::L { lock } => {
                 let free = st.lock_free.get(&lock).copied().unwrap_or(0);
-                let contended = free > runs[i].time;
-                let mut acquired = runs[i].time.max(free) + st.opts.overheads.lock_acquire;
+                let contended = free > ranks[i].time;
+                let mut acquired = ranks[i].time.max(free) + st.opts.overheads.lock_acquire;
                 if contended {
                     acquired += st.opts.contended_lock_penalty;
                     obs_at!(
                         st,
-                        runs[i].time,
+                        ranks[i].time,
                         LockWait {
                             lock,
-                            thread: runs[i].cpu as u32
+                            thread: ranks[i].cpu as u32
                         }
                     );
                 }
@@ -633,7 +824,7 @@ fn emulate_section<'t, V: TreeView<'t>>(
                     acquired,
                     LockAcquire {
                         lock,
-                        thread: runs[i].cpu as u32
+                        thread: ranks[i].cpu as u32
                     }
                 );
                 obs_at!(
@@ -641,26 +832,25 @@ fn emulate_section<'t, V: TreeView<'t>>(
                     released,
                     LockRelease {
                         lock,
-                        thread: runs[i].cpu as u32
+                        thread: ranks[i].cpu as u32
                     }
                 );
                 st.lock_free.insert(lock, released);
-                runs[i].time = released;
+                ranks[i].time = released;
             }
             ViewKind::Sec { .. } => {
                 // Nested: recurse with this CPU as host. Nested sections
                 // inherit the top-level burden factor.
-                let cpu = runs[i].cpu;
-                st.cpu_time[cpu] = runs[i].time;
-                let end = emulate_section(st, op, cpu, runs[i].time, burden);
-                runs[i].time = end;
+                let cpu = ranks[i].cpu;
+                st.cpu_time[cpu] = ranks[i].time;
+                let end = emulate_section(st, op, cpu, ranks[i].time, burden);
+                ranks[i].time = end;
             }
             other => unreachable!("invalid op node {}", other.tag()),
         }
-        heap.push(Reverse((runs[i].time, i)));
+        heap.push(Reverse((ranks[i].time, i)));
     }
 
-    st.task_buf_pool.push(tasks);
     section_end + st.opts.overheads.parallel_end
 }
 
@@ -1049,9 +1239,13 @@ mod tests {
         o.expand_runs = true;
         let (_, c) = predict_counting(&ctree, o);
         assert_eq!(c, FfCounters::default());
-        // Dynamic scheduling cannot fast-path.
-        let (_, c) = predict_counting(&ctree, zero_opts(4, Schedule::dynamic1()));
-        assert_eq!(c, FfCounters::default());
+        // Dynamic and guided hand the uniform run out in one-step chunks
+        // and batches, so nearly no iteration takes a heap step of its own.
+        for sched in [Schedule::dynamic1(), Schedule::Guided { min_chunk: 4 }] {
+            let (_, c) = predict_counting(&ctree, zero_opts(4, sched));
+            assert!(c.runs_fastpathed >= 1, "{sched:?}: {c:?}");
+            assert!(c.iters_skipped > 450, "{sched:?}: {c:?}");
+        }
     }
 
     #[test]

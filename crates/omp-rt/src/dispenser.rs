@@ -8,8 +8,21 @@
 
 use machsim::Schedule;
 
+/// A stretch of equal-length chunks the shared cursor hands out next:
+/// the following `count ≥ 1` calls to [`Dispenser::next_chunk`] return
+/// consecutive chunks of `len` iterations, the first starting at `start`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkRun {
+    /// First iteration of the next chunk.
+    pub start: usize,
+    /// Length of every chunk in the stretch.
+    pub len: usize,
+    /// Number of chunks in the stretch.
+    pub count: usize,
+}
+
 /// Chunk dispenser for one parallel region.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Dispenser {
     /// `schedule(static)`: one contiguous block per rank.
     StaticBlock {
@@ -140,17 +153,99 @@ impl Dispenser {
                 if *cursor >= *n {
                     return None;
                 }
-                let remaining = *n - *cursor;
-                let size = (remaining / (*team as usize))
-                    .max(*min_chunk)
-                    .min(remaining)
-                    .max(1);
+                let size = guided_len(*n - *cursor, *team, *min_chunk);
                 let start = *cursor;
                 *cursor += size;
                 Some((start, start + size))
             }
         }
     }
+
+    /// The stretch of equal-length chunks the shared cursor of a
+    /// `dynamic` or `guided` dispenser hands out next, or `None` when the
+    /// space is exhausted or the schedule is static (per-rank chunks).
+    ///
+    /// `dynamic,c` hands out `c`-sized chunks up to a shorter last one.
+    /// `guided,m` shrinks its chunks until `remaining / team ≤ m`; from
+    /// there on every chunk is `m` long up to a shorter last one. A
+    /// guided head chunk is reported as a stretch of one.
+    pub fn peek_run(&self) -> Option<ChunkRun> {
+        // (space, cursor, next length, the length every chunk has until
+        // the shorter last one)
+        let (n, cursor, len, full) = match *self {
+            Dispenser::Dynamic { n, chunk, cursor } if cursor < n => {
+                (n, cursor, chunk.min(n - cursor), chunk)
+            }
+            Dispenser::Guided {
+                n,
+                min_chunk,
+                team,
+                cursor,
+            } if cursor < n => (
+                n,
+                cursor,
+                guided_len(n - cursor, team, min_chunk),
+                min_chunk,
+            ),
+            _ => return None,
+        };
+        Some(ChunkRun {
+            start: cursor,
+            len,
+            count: if len == full { (n - cursor) / len } else { 1 },
+        })
+    }
+
+    /// Hand out up to `m` chunks to `rank` at once, leaving the dispenser
+    /// in the state `m` calls to [`Dispenser::next_chunk`] would. Returns
+    /// how many of those calls would have returned a chunk.
+    pub fn advance_chunks(&mut self, rank: u32, m: usize) -> usize {
+        if m == 0 {
+            return 0;
+        }
+        match self {
+            Dispenser::StaticBlock { .. } => usize::from(self.next_chunk(rank).is_some()),
+            Dispenser::StaticChunk {
+                n,
+                chunk,
+                team,
+                next,
+            } => {
+                let r = rank as usize;
+                let stride = *chunk * *team as usize;
+                let left = n.saturating_sub(next[r]).div_ceil(stride);
+                let k = left.min(m);
+                next[r] += k * stride;
+                k
+            }
+            Dispenser::Dynamic { n, chunk, cursor } => {
+                let k = (*n - *cursor).div_ceil(*chunk).min(m);
+                *cursor = (*cursor + k * *chunk).min(*n);
+                k
+            }
+            Dispenser::Guided { .. } => {
+                let mut k = 0;
+                while k < m {
+                    let Some(run) = self.peek_run() else { break };
+                    let step = run.count.min(m - k);
+                    if let Dispenser::Guided { cursor, .. } = self {
+                        *cursor += step * run.len;
+                    }
+                    k += step;
+                }
+                k
+            }
+        }
+    }
+}
+
+/// `guided` chunk length with `remaining ≥ 1` iterations left: the
+/// remaining share per thread, at least `min_chunk`, at most what is left.
+fn guided_len(remaining: usize, team: u32, min_chunk: usize) -> usize {
+    (remaining / team as usize)
+        .max(min_chunk)
+        .min(remaining)
+        .max(1)
 }
 
 #[cfg(test)]
@@ -260,6 +355,64 @@ mod tests {
             let mut d = Dispenser::new(sched, 0, 4);
             for r in 0..4 {
                 assert_eq!(d.next_chunk(r), None);
+            }
+        }
+    }
+
+    fn all_schedules() -> Vec<Schedule> {
+        vec![
+            Schedule::static_block(),
+            Schedule::static1(),
+            Schedule::Static { chunk: Some(3) },
+            Schedule::dynamic1(),
+            Schedule::Dynamic { chunk: 3 },
+            Schedule::Guided { min_chunk: 1 },
+            Schedule::Guided { min_chunk: 4 },
+        ]
+    }
+
+    #[test]
+    fn advance_chunks_matches_repeated_next_chunk() {
+        for sched in all_schedules() {
+            for n in [0usize, 1, 7, 10, 64, 101] {
+                for team in [1u32, 3, 4] {
+                    for m in [0usize, 1, 2, 5, 40, 200] {
+                        for rank in 0..team {
+                            let mut one = Dispenser::new(sched, n, team);
+                            let mut batch = one.clone();
+                            // Start mid-space, as the emulator does.
+                            one.next_chunk((rank + 1) % team);
+                            batch.next_chunk((rank + 1) % team);
+                            let handed = (0..m).filter(|_| one.next_chunk(rank).is_some()).count();
+                            let ctx = format!("{sched:?} n={n} team={team} m={m} rank={rank}");
+                            assert_eq!(batch.advance_chunks(rank, m), handed, "{ctx}");
+                            assert_eq!(batch, one, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn peek_run_predicts_next_chunks() {
+        for sched in all_schedules() {
+            for n in [0usize, 1, 7, 10, 64, 101] {
+                for team in [1u32, 3, 4] {
+                    let mut d = Dispenser::new(sched, n, team);
+                    let shared = !matches!(sched, Schedule::Static { .. });
+                    while let Some(run) = d.peek_run() {
+                        assert!(shared && run.count >= 1, "{sched:?}");
+                        let mut start = run.start;
+                        for _ in 0..run.count {
+                            assert_eq!(d.next_chunk(0), Some((start, start + run.len)));
+                            start += run.len;
+                        }
+                    }
+                    if shared {
+                        assert_eq!(d.next_chunk(0), None, "{sched:?} n={n}");
+                    }
+                }
             }
         }
     }

@@ -65,7 +65,7 @@ pub mod pipeline;
 pub mod tasks;
 pub mod worker;
 
-pub use dispenser::Dispenser;
+pub use dispenser::{ChunkRun, Dispenser};
 pub use overhead::OmpOverheads;
 pub use pipeline::PipeCtl;
 pub use tasks::{run_program_tasks, run_program_tasks_on, TaskOverheads};

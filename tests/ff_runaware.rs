@@ -30,7 +30,10 @@ use workloads::npb::{Cg, Ep, Ft, Is, Mg};
 use workloads::ompscr::{Fft, Jacobi, Lu, Mandelbrot, Md, Pi, QSort};
 use workloads::{Benchmark, PipelineParams, PipelineWl, Test1, Test1Params, Test2, Test2Params};
 
-const THREADS: [u32; 5] = [1, 2, 4, 8, 12];
+/// Thread counts. Teams of 3, 6 and 10 leave remainders on the
+/// workloads' power-of-two trip counts, so short last chunks and rank
+/// tie-breaks in the batched hand-out are exercised.
+const THREADS: [u32; 8] = [1, 2, 3, 4, 6, 8, 10, 12];
 
 fn schedules() -> Vec<Schedule> {
     vec![
@@ -38,8 +41,10 @@ fn schedules() -> Vec<Schedule> {
         Schedule::static1(),
         Schedule::Static { chunk: Some(4) },
         Schedule::dynamic1(),
+        Schedule::Dynamic { chunk: 3 },
         Schedule::Dynamic { chunk: 4 },
         Schedule::Guided { min_chunk: 1 },
+        Schedule::Guided { min_chunk: 4 },
     ]
 }
 

@@ -4,7 +4,7 @@
 
 use prophet_core::Prophet;
 use prophet_obs::{chrome_trace_json, jsonl_dump, EventKind, ObsHandle, Recorder, SpanKind};
-use workloads::ompscr::{Md, QSort};
+use workloads::ompscr::{Lu, Md, QSort};
 use workloads::spec::Benchmark;
 use workloads::{run_real_with_obs, RealOptions};
 
@@ -143,4 +143,40 @@ fn jsonl_schema_matches_golden_file() {
         "JSONL exporter output drifted from tests/golden/obs_events.jsonl; \
          if the schema change is intentional, regenerate the golden file"
     );
+}
+
+/// The traced FF emulation walks every op through the heap (full
+/// `EmuHeapPop`/`ChunkDispatch` events), while the untraced one takes the
+/// closed forms: one step per `U`-only chunk and batched hand-out over
+/// uniform stretches. Both must predict the same cycles and sections.
+#[test]
+fn traced_ff_matches_untraced_on_dynamic_and_guided() {
+    let prophet = Prophet::new();
+    for w in [&Lu::paper() as &dyn Benchmark, &Md::paper()] {
+        let profiled = prophet.profile(w);
+        for schedule in [
+            machsim::Schedule::dynamic1(),
+            machsim::Schedule::Guided { min_chunk: 4 },
+        ] {
+            for cpus in [3u32, 6, 12] {
+                let mut opts = ffemu::FfOptions::new(cpus);
+                opts.schedule = schedule;
+                opts.contended_lock_penalty = prophet.machine().context_switch_cycles;
+                let ctx = format!("{} {schedule:?} cpus={cpus}", w.spec().name);
+                let (fast, counters) = ffemu::predict_counting(&profiled.tree, opts);
+                assert!(counters.runs_fastpathed > 0, "{ctx}: no closed form taken");
+                let obs = ObsHandle::new(Recorder::with_capacity(1 << 14));
+                let traced = ffemu::predict_with_obs(&profiled.tree, opts, obs.clone());
+                assert_eq!(traced.predicted_cycles, fast.predicted_cycles, "{ctx}");
+                assert_eq!(traced.sections, fast.sections, "{ctx}");
+                assert_eq!(traced.speedup.to_bits(), fast.speedup.to_bits(), "{ctx}");
+                let dispatches = obs.with(|rec| {
+                    rec.events()
+                        .filter(|e| matches!(e.kind, EventKind::ChunkDispatch { .. }))
+                        .count()
+                });
+                assert!(dispatches > 0, "{ctx}: traced path recorded no dispatches");
+            }
+        }
+    }
 }
