@@ -138,7 +138,7 @@ pub fn tolerance_sweep(engine: &SweepEngine) -> Vec<ToleranceRow> {
             let (ctree, _) = proftree::compress_tree(
                 &u.tree,
                 CompressOptions {
-                    tolerance: tolerance.max(1e-9),
+                    tolerance,
                     min_children: 4,
                 },
             );

@@ -24,7 +24,7 @@
 //! prophet route [--addr 127.0.0.1:7178] --shards a:p,b:p [--replicas N]
 //! prophet loadgen [workloads] [--addr ..] [--shards a:p,b:p] [--requests N]
 //!                 [--concurrency N] [--mix predict,whatif] [--expect-cache-hits]
-//!                 [--keep-alive] [--bench-out PATH]
+//!                 [--keep-alive]
 //! prophet cluster <status | keys | compact | migrate> [--addr ..] [--json]
 //! ```
 //!
@@ -49,7 +49,7 @@
 //! `serve` runs the batching prediction daemon (`prophet-serve`): one
 //! process-wide engine, bounded admission queue, request batching, and a
 //! result cache, with `/v1/predict`, `/v1/healthz` and `/v1/metrics`
-//! endpoints (unversioned aliases deprecated). `--store-dir` persists
+//! endpoints (every path under `/v1`). `--store-dir` persists
 //! every computed profile to an append-only store so restarts serve from
 //! disk instead of re-profiling; `--shards`/`--self-addr` makes the
 //! daemon a member of a consistent-hash ring that partitions the key
@@ -219,8 +219,6 @@ struct Args {
     slo_ms: u64,
     /// serve: JSONL access-log path.
     access_log: Option<String>,
-    /// loadgen: write the JSON bench report here.
-    bench_out: Option<String>,
     /// loadgen: reuse keep-alive connections instead of dialing per
     /// request.
     keep_alive: bool,
@@ -295,7 +293,6 @@ fn parse_args() -> Args {
         self_addr: None,
         slo_ms: 5_000,
         access_log: None,
-        bench_out: None,
         keep_alive: false,
         max_conns: 1024,
         idle_timeout_ms: 30_000,
@@ -476,9 +473,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| die("--access-log needs a path")),
                 );
             }
-            "--bench-out" => {
-                args.bench_out = Some(it.next().unwrap_or_else(|| die("--bench-out needs a path")));
-            }
             "--max-conns" => {
                 let v = it
                     .next()
@@ -598,9 +592,7 @@ fn main() {
                  [--max-conns N] [--idle-timeout-ms N] [--header-timeout-ms N]\n  \
                  route [--addr 127.0.0.1:7178] --shards a:p,b:p [--replicas N]\n  \
                  loadgen [workloads] [--addr ..] [--shards a:p,b:p] [--requests N] \
-                 [--concurrency N] [--mix predict,whatif] [--expect-cache-hits] [--keep-alive] \
-                 [--bench-out PATH] \
-                 (--bench-out runs close + keep-alive legs and writes both)\n  \
+                 [--concurrency N] [--mix predict,whatif] [--expect-cache-hits] [--keep-alive]\n  \
                  cluster <status | keys | compact | migrate> [--addr ..] [--json] \
                  (migrate needs --shards = the NEW ring; compact takes \
                  [--store-compact-ratio R])\n  \
@@ -1241,40 +1233,15 @@ fn main() {
                 expect_cache_hits: args.expect_cache_hits,
                 shards: args.shards.clone(),
                 route_keys,
-                bench_out: None,
                 keep_alive: args.keep_alive,
                 whatif_bodies,
                 whatif_keys,
             };
-            if let Some(path) = &args.bench_out {
-                // Bench mode: the same load twice — Connection: close,
-                // then keep-alive — written as the two-leg comparison
-                // artifact. The close leg warms the caches, so the legs
-                // differ in transport only.
-                let close_opts = serve::loadgen::LoadgenOptions {
-                    keep_alive: false,
-                    ..opts.clone()
-                };
-                let keepalive_opts = serve::loadgen::LoadgenOptions {
-                    keep_alive: true,
-                    ..opts.clone()
-                };
-                let close = serve::loadgen::run(&close_opts);
-                println!("{}", close.summary());
-                let keepalive = serve::loadgen::run(&keepalive_opts);
-                println!("{}", keepalive.summary());
-                serve::loadgen::write_bench_legs(path, &close, &keepalive);
-                if !close.success(&close_opts) || !keepalive.success(&keepalive_opts) {
-                    eprintln!("loadgen: FAILED");
-                    std::process::exit(1);
-                }
-            } else {
-                let report = serve::loadgen::run(&opts);
-                println!("{}", report.summary());
-                if !report.success(&opts) {
-                    eprintln!("loadgen: FAILED");
-                    std::process::exit(1);
-                }
+            let report = serve::loadgen::run(&opts);
+            println!("{}", report.summary());
+            if !report.success(&opts) {
+                eprintln!("loadgen: FAILED");
+                std::process::exit(1);
             }
         }
         "recommend" => {

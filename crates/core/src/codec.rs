@@ -22,8 +22,7 @@
 //! The encoding is lossless: decode reproduces a [`Profiled`] whose
 //! serde-JSON serialization is byte-identical to the original's (pinned
 //! across all workloads in `tests/psr2_codec.rs`), so every consumer of
-//! the store sees exactly the bytes it would have read from the JSON
-//! (`PSR1`) path.
+//! the store sees exactly the bytes a JSON round-trip would give.
 
 use cachesim::Counters;
 use proftree::wire::{decode_tree, encode_tree, get_str, get_u64, put_str, put_u64};

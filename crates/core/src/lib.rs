@@ -204,10 +204,9 @@ pub fn fingerprint64(bytes: &[u8]) -> u64 {
 
 /// Step-wise construction of a [`Prophet`].
 ///
-/// Replaces the old mutate-after-`new` pattern
-/// (`set_profile_options`/`set_calibration`): every knob is set before
-/// the instance exists, so a fully-built `Prophet` can go straight
-/// behind an [`Arc`](std::sync::Arc) without a mutable warm-up phase.
+/// Every knob is set before the instance exists, so a fully-built
+/// `Prophet` can go straight behind an [`Arc`](std::sync::Arc) without
+/// a mutable warm-up phase.
 ///
 /// ```
 /// use prophet_core::Prophet;
@@ -316,22 +315,6 @@ impl Prophet {
     /// The cache hierarchy profiled against.
     pub fn hierarchy(&self) -> &HierarchyConfig {
         &self.hierarchy
-    }
-
-    /// Override profiling options (annotation overhead, compression…).
-    #[deprecated(note = "construct via Prophet::builder().profile_options(..) instead")]
-    pub fn set_profile_options(&mut self, opts: ProfileOptions) {
-        self.profile_options = opts;
-        self.profile_options.machine = self.machine;
-        self.profile_options.hierarchy = self.hierarchy;
-    }
-
-    /// Inject a pre-computed calibration (e.g. loaded from JSON) instead
-    /// of running the microbenchmark. Replaces any memoised calibration.
-    #[deprecated(note = "construct via Prophet::builder().calibration(..) instead")]
-    pub fn set_calibration(&mut self, cal: MemCalibration) {
-        self.calibration = std::sync::OnceLock::new();
-        let _ = self.calibration.set(cal);
     }
 
     /// The Ψ/Φ calibration of this machine, computing it on first use

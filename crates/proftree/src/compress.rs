@@ -125,9 +125,10 @@ impl<'a> Compressor<'a> {
     }
 
     /// Quantise a length into a geometric bucket of ratio `1 + tolerance`.
+    /// A tolerance of zero (or less) keys on the exact length.
     fn bucket(&self, len: Cycles) -> u64 {
-        if len == 0 {
-            return 0;
+        if len == 0 || self.opts.tolerance <= 0.0 {
+            return len;
         }
         let step = (1.0 + self.opts.tolerance).ln();
         ((len as f64).ln() / step).floor() as u64 + 1
@@ -403,6 +404,24 @@ mod tests {
         let mut uniq = tasks.clone();
         uniq.dedup();
         assert_eq!(uniq.len(), 12);
+    }
+
+    #[test]
+    fn zero_tolerance_merges_only_exact_lengths() {
+        let exact = CompressOptions {
+            tolerance: 0.0,
+            min_children: 2,
+        };
+        // Eight distinct lengths: nothing merges (root + sec + 8 × (task + U)).
+        let tree = loop_tree(8, |i| 100 + 50 * i as Cycles);
+        let (c, _) = compress_tree(&tree, exact);
+        assert_eq!(c.len(), 18);
+        let sec = c.top_level_sections()[0];
+        let lens: Vec<Cycles> = TaskSeq::new(&c, sec).map(|t| c.node(t).length).collect();
+        assert_eq!(lens, (0..8).map(|i| 100 + 50 * i).collect::<Vec<Cycles>>());
+        // Equal lengths still collapse into one run.
+        let (c, _) = compress_tree(&loop_tree(8, |_| 100), exact);
+        assert_eq!(c.len(), 4);
     }
 
     #[test]

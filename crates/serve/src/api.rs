@@ -6,11 +6,9 @@
 //! ends speak the same serde structs, so a field rename is a compile
 //! error everywhere at once instead of a silent 400 at runtime.
 //!
-//! Versioning: the canonical endpoints live under `/v1/`
-//! (`POST /v1/predict`, `GET /v1/healthz`, `GET /v1/metrics`); the
-//! unversioned spellings remain as deprecated aliases answering
-//! byte-identical bodies with a `Deprecation` header. The body shapes
-//! here, the error codes of
+//! Versioning: every endpoint lives under `/v1/` (`POST /v1/predict`,
+//! `GET /v1/healthz`, `GET /v1/metrics`); an unversioned path is a 404.
+//! The body shapes here, the error codes of
 //! [`ProphetError::code`](prophet_core::ProphetError::code), and their
 //! status mapping are the compatibility surface of v1.
 

@@ -101,7 +101,7 @@ pub struct ClusterState {
     pub placement: Option<(ShardRing, String)>,
     /// Configured replication factor (1 = no replication).
     pub replicas: usize,
-    /// Replication / migration / ring-change counters for `/metrics`.
+    /// Replication / migration / ring-change counters for `/v1/metrics`.
     pub counters: ClusterCounters,
     /// Serializes migrations: one streaming pass at a time per shard.
     migrating: AtomicBool,

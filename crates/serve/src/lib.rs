@@ -50,8 +50,8 @@
 //!   /v1/jobs/<id>/result` — byte-identical to `prophet whatif --json`
 //!   ([`jobs`]).
 //!
-//! HTTP endpoints (v1, with unversioned spellings kept as deprecated
-//! aliases): `POST /v1/predict`, `POST /v1/jobs`, `GET /v1/jobs/<id>`
+//! HTTP endpoints, all under `/v1` (an unversioned path is a 404):
+//! `POST /v1/predict`, `POST /v1/jobs`, `GET /v1/jobs/<id>`
 //! (+`/result`), `GET /v1/healthz`, `GET /v1/metrics` (JSON, or
 //! Prometheus text with `?format=prom`). Wire types live in [`api`] and
 //! [`jobs`]; error bodies carry the stable codes of
@@ -549,14 +549,13 @@ impl ShardedResultCache {
 
 /// The per-request reply channel: the event loop's one-shot
 /// [`eloop::Responder`] plus the response decoration every path must
-/// agree on (request-id/trace echo headers, the `/v1` deprecation
-/// header, the x-cache disposition recorded for the access log).
+/// agree on (request-id/trace echo headers, the x-cache disposition
+/// recorded for the access log).
 #[derive(Clone)]
 struct Reply {
     responder: eloop::Responder,
     rid: Option<String>,
     trace_hex: Option<String>,
-    versioned: bool,
     /// Cache disposition of the response that was actually sent, read
     /// back by the post-flush accounting for trace tags.
     cache_tag: Arc<Mutex<String>>,
@@ -564,12 +563,6 @@ struct Reply {
 
 impl Reply {
     fn decorate(&self, mut resp: Response) -> Response {
-        // `/v1/...` is canonical; unversioned spellings answer the same
-        // bytes plus a Deprecation header (404s excepted — there is
-        // nothing to deprecate onto).
-        if !self.versioned && resp.status != 404 {
-            resp = resp.with_header("deprecation", "true; see /v1");
-        }
         if let Some(rid) = &self.rid {
             resp.extra_headers.push(("x-request-id", rid.clone()));
         }
@@ -619,7 +612,7 @@ struct Shared {
     results: ShardedResultCache,
     metrics: ServerMetrics,
     /// The persistent profile store, when `store_dir` is configured.
-    /// The engine holds its own handle; this one serves `/metrics`,
+    /// The engine holds its own handle; this one serves `/v1/metrics`,
     /// flush-on-shutdown, and tests.
     store: Option<Arc<ProfileStore>>,
     /// `(ring, own address)` when `shard_ring` is configured.
@@ -797,7 +790,7 @@ impl ServerHandle {
     }
 
     /// The daemon's metric counters (tests and embedders; HTTP clients
-    /// use `/metrics`).
+    /// use `/v1/metrics`).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.shared.metrics
     }
@@ -876,19 +869,17 @@ fn handle_request(
     let trace = shared.tracing.begin(req.header("x-prophet-trace"));
     trace.add_timed("parse", req_start, meta.parse_nanos, &[]);
     m.observe_stage("parse", meta.parse_nanos);
-    let is_predict = req.method == "POST" && (req.path == "/predict" || req.path == "/v1/predict");
+    let is_predict = req.method == "POST" && req.path == "/v1/predict";
     // Echo the client's request id on every response, or synthesise one
     // from the trace id when tracing is on.
     let rid = req
         .header("x-request-id")
         .map(str::to_string)
         .or_else(|| trace.trace_hex());
-    let versioned = req.path.starts_with("/v1");
     let reply = Reply {
         responder: responder.clone(),
         rid: rid.clone(),
         trace_hex: trace.trace_hex(),
-        versioned,
         cache_tag: Arc::new(Mutex::new("none".to_string())),
     };
     {
@@ -930,11 +921,9 @@ fn handle_request(
 }
 
 fn route(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: &Reply) {
-    // `/v1/predict` is the canonical spelling; the bare `/predict` era
-    // predates versioning and stays as a deprecated alias answering the
-    // exact same bytes, plus a `Deprecation` header (added by the
-    // reply's decoration).
-    let path = req.path.strip_prefix("/v1").unwrap_or(req.path.as_str());
+    // Only `/v1/...` is served: an unversioned path maps to "", which
+    // no arm matches, so it gets the 404.
+    let path = req.path.strip_prefix("/v1").unwrap_or("");
     match (req.method.as_str(), path) {
         ("GET", "/healthz") => {
             let obj = serde::Value::Object(vec![

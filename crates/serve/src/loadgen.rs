@@ -31,7 +31,7 @@ pub struct LoadgenOptions {
     pub concurrency: usize,
     /// Request bodies, cycled round-robin over the request index.
     pub bodies: Vec<String>,
-    /// After the run, fetch `/metrics` and require at least one result-
+    /// After the run, fetch `/v1/metrics` and require at least one result-
     /// cache hit and one profile-cache hit (the smoke-test assertion).
     pub expect_cache_hits: bool,
     /// Shard-ring addresses. When non-empty, each body class is sent
@@ -42,10 +42,6 @@ pub struct LoadgenOptions {
     /// Route key per body class, parallel to `bodies` (the first
     /// workload's cache key). Required when `shards` is non-empty.
     pub route_keys: Vec<String>,
-    /// Write the full report (overall and per-class percentiles, RPS)
-    /// as JSON to this path after the run — the `BENCH_serve.json`
-    /// artifact CI archives and asserts on.
-    pub bench_out: Option<String>,
     /// Reuse connections: each worker thread keeps one persistent
     /// keep-alive connection per target and pipelines its requests over
     /// it, instead of dialing per request (`Connection: close`). The
@@ -78,7 +74,6 @@ impl Default for LoadgenOptions {
             expect_cache_hits: false,
             shards: Vec::new(),
             route_keys: Vec::new(),
-            bench_out: None,
             keep_alive: false,
             whatif_bodies: Vec::new(),
             whatif_keys: Vec::new(),
@@ -126,17 +121,6 @@ impl LatencySummary {
             max_nanos: samples[samples.len() - 1],
         }
     }
-
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("min".to_string(), serde::Value::U64(self.min_nanos)),
-            ("mean".to_string(), serde::Value::U64(self.mean_nanos)),
-            ("p50".to_string(), serde::Value::U64(self.p50_nanos)),
-            ("p95".to_string(), serde::Value::U64(self.p95_nanos)),
-            ("p99".to_string(), serde::Value::U64(self.p99_nanos)),
-            ("max".to_string(), serde::Value::U64(self.max_nanos)),
-        ])
-    }
 }
 
 /// Per-request-class results (class = body index, requests assigned
@@ -180,9 +164,9 @@ pub struct LoadgenReport {
     pub rps: f64,
     /// Per-request-class latency and throughput.
     pub classes: Vec<ClassReport>,
-    /// `serve.result_cache_hits` read from `/metrics` after the run.
+    /// `serve.result_cache_hits` read from `/v1/metrics` after the run.
     pub result_cache_hits: Option<u64>,
-    /// `sweep.profile_cache_hits` read from `/metrics` after the run.
+    /// `sweep.profile_cache_hits` read from `/v1/metrics` after the run.
     pub profile_cache_hits: Option<u64>,
     /// Whether this run reused connections (`--keep-alive`).
     pub keep_alive: bool,
@@ -235,87 +219,6 @@ impl LoadgenReport {
             self.profile_cache_hits
                 .map_or("?".to_string(), |v| v.to_string()),
         )
-    }
-
-    /// The report as JSON — the single-leg `BENCH_serve.json` schema.
-    /// [`write_bench_legs`] nests two of these under `"close"` /
-    /// `"keepalive"` for the two-leg comparison artifact.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).expect("serialise bench report")
-    }
-
-    /// The report as a JSON value (see [`to_json`](Self::to_json)).
-    pub fn to_value(&self) -> serde::Value {
-        let opt = |v: Option<u64>| match v {
-            Some(n) => serde::Value::U64(n),
-            None => serde::Value::Null,
-        };
-        let classes: Vec<serde::Value> = self
-            .classes
-            .iter()
-            .map(|c| {
-                serde::Value::Object(vec![
-                    ("class".to_string(), serde::Value::U64(c.class as u64)),
-                    ("kind".to_string(), serde::Value::Str(c.kind.clone())),
-                    ("requests".to_string(), serde::Value::U64(c.requests as u64)),
-                    ("ok".to_string(), serde::Value::U64(c.ok as u64)),
-                    ("rps".to_string(), serde::Value::F64(c.rps)),
-                    ("latency_nanos".to_string(), c.latency.to_value()),
-                ])
-            })
-            .collect();
-        serde::Value::Object(vec![
-            (
-                "requests".to_string(),
-                serde::Value::U64(self.requests as u64),
-            ),
-            ("ok".to_string(), serde::Value::U64(self.ok as u64)),
-            ("shed".to_string(), serde::Value::U64(self.shed as u64)),
-            ("failed".to_string(), serde::Value::U64(self.failed as u64)),
-            (
-                "mismatches".to_string(),
-                serde::Value::U64(self.mismatches as u64),
-            ),
-            (
-                "elapsed_nanos".to_string(),
-                serde::Value::U64(self.elapsed_nanos),
-            ),
-            ("rps".to_string(), serde::Value::F64(self.rps)),
-            ("latency_nanos".to_string(), self.latency.to_value()),
-            ("classes".to_string(), serde::Value::Array(classes)),
-            ("result_cache_hits".to_string(), opt(self.result_cache_hits)),
-            (
-                "profile_cache_hits".to_string(),
-                opt(self.profile_cache_hits),
-            ),
-            (
-                "keep_alive".to_string(),
-                serde::Value::Bool(self.keep_alive),
-            ),
-            (
-                "connections_opened".to_string(),
-                serde::Value::U64(self.connections_opened),
-            ),
-            (
-                "connection_reuses".to_string(),
-                serde::Value::U64(self.connection_reuses),
-            ),
-        ])
-    }
-}
-
-/// Write the two-leg `BENCH_serve.json`: the same load run once with
-/// `Connection: close` and once with keep-alive, nested under `"close"`
-/// and `"keepalive"`. CI asserts `keepalive.rps >= close.rps` on it —
-/// the readiness-loop transport must make connection reuse a win.
-pub fn write_bench_legs(path: &str, close: &LoadgenReport, keepalive: &LoadgenReport) {
-    let obj = serde::Value::Object(vec![
-        ("close".to_string(), close.to_value()),
-        ("keepalive".to_string(), keepalive.to_value()),
-    ]);
-    let json = serde_json::to_string_pretty(&obj).expect("serialise bench report");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: failed to write bench report {path}: {e}");
     }
 }
 
@@ -497,7 +400,7 @@ pub fn run(opts: &LoadgenOptions) -> LoadgenReport {
         totals
     };
 
-    let report = LoadgenReport {
+    LoadgenReport {
         requests: opts.requests,
         ok: usize::try_from(ok.load(Ordering::Relaxed)).unwrap_or(usize::MAX),
         shed: usize::try_from(shed.load(Ordering::Relaxed)).unwrap_or(usize::MAX),
@@ -512,13 +415,7 @@ pub fn run(opts: &LoadgenOptions) -> LoadgenReport {
         keep_alive: opts.keep_alive,
         connections_opened: conns_opened.load(Ordering::Relaxed),
         connection_reuses: conn_reuses.load(Ordering::Relaxed),
-    };
-    if let Some(path) = &opts.bench_out {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("warning: failed to write bench report {path}: {e}");
-        }
     }
-    report
 }
 
 /// One request, over this thread's persistent connection to `target`
@@ -644,7 +541,7 @@ fn merge_counter(acc: Option<u64>, next: Option<u64>) -> Option<u64> {
     }
 }
 
-/// Fetch `/metrics` and pull the two cache-hit counters out of the JSON
+/// Fetch `/v1/metrics` and pull the two cache-hit counters out of the JSON
 /// (both the obs-backed and the degraded non-obs body nest counters
 /// under a top-level `"counters"` object).
 fn read_cache_hit_counters(addr: &str) -> (Option<u64>, Option<u64>) {
@@ -665,4 +562,35 @@ fn read_cache_hit_counters(addr: &str) -> (Option<u64>, Option<u64>) {
         counter("serve.result_cache_hits"),
         counter("sweep.profile_cache_hits"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_summary_uses_nearest_rank_and_is_monotone() {
+        let mut samples: Vec<u64> = (1..=100).rev().collect();
+        let s = LatencySummary::from_samples(&mut samples);
+        assert_eq!(
+            (
+                s.min_nanos,
+                s.mean_nanos,
+                s.p50_nanos,
+                s.p95_nanos,
+                s.p99_nanos,
+                s.max_nanos
+            ),
+            (1, 50, 50, 95, 99, 100)
+        );
+        let s = LatencySummary::from_samples(&mut [30, 10, 20]);
+        assert_eq!(
+            (s.p50_nanos, s.p95_nanos, s.p99_nanos, s.max_nanos),
+            (20, 30, 30, 30)
+        );
+        assert!(
+            s.p50_nanos <= s.p95_nanos && s.p95_nanos <= s.p99_nanos && s.p99_nanos <= s.max_nanos
+        );
+        assert_eq!(LatencySummary::from_samples(&mut []).max_nanos, 0);
+    }
 }

@@ -1,5 +1,5 @@
 //! Daemon metrics: lock-free counters on the hot path, rendered on
-//! demand by `/metrics` as JSON or Prometheus text.
+//! demand by `/v1/metrics` as JSON or Prometheus text.
 //!
 //! Counters and gauges are plain atomics so admission and batching never
 //! contend on a metrics lock. Latency/batch-size histograms need the
@@ -106,7 +106,7 @@ pub struct ServerMetrics {
     /// plain data, set once at construction).
     slo_ms: u64,
     /// Connection-level counters, shared with the event loop (which
-    /// increments them; `/metrics` only reads).
+    /// increments them; `/v1/metrics` only reads).
     pub conns: Arc<ConnStats>,
     #[cfg(feature = "obs")]
     histos: Mutex<Histos>,
@@ -311,7 +311,7 @@ impl ServerMetrics {
         out
     }
 
-    /// JSON body for `/metrics`. `cluster` carries the replication and
+    /// JSON body for `/v1/metrics`. `cluster` carries the replication and
     /// migration counters of the cluster layer (empty when unsharded).
     pub fn render_json(
         &self,

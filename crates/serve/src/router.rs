@@ -185,7 +185,7 @@ fn handle_request(shared: &Arc<RouterShared>, req: Request, meta: ReqMeta, respo
         .unwrap_or_else(Instant::now);
     let trace = shared.tracing.begin(req.header("x-prophet-trace"));
     trace.add_timed("parse", req_start, meta.parse_nanos, &[]);
-    let is_predict = req.method == "POST" && (req.path == "/predict" || req.path == "/v1/predict");
+    let is_predict = req.method == "POST" && req.path == "/v1/predict";
     // Every response carries a request id: the client's, or one
     // synthesised from the trace id.
     let rid = req
@@ -225,13 +225,9 @@ fn handle_request(shared: &Arc<RouterShared>, req: Request, meta: ReqMeta, respo
         responder.send(resp);
     };
 
-    // `/v1/...` and legacy unversioned paths are equivalent, like on the
-    // daemons themselves.
-    let path = req
-        .path
-        .strip_prefix("/v1")
-        .unwrap_or(&req.path)
-        .to_string();
+    // Only `/v1/...` is served, like on the daemons themselves: an
+    // unversioned path maps to "", which no arm matches (404).
+    let path = req.path.strip_prefix("/v1").unwrap_or("").to_string();
     match (req.method.as_str(), path.as_str()) {
         ("POST", "/predict") => {
             let shared = Arc::clone(shared);

@@ -64,20 +64,17 @@
 //! rewritten via write-to-temp-then-rename after every append, so it
 //! never names bytes that aren't durably framed.
 //!
-//! ## Upgrading from version 1
+//! ## Version 1 logs
 //!
-//! Version 1 stores used the same frame shape with magic `"PSR1"` and a
-//! JSON payload, in `profiles.v1.log`. Opening a directory that holds a
-//! v1 log transparently migrates it: every valid v1 record is decoded
-//! from JSON, re-encoded as `PSR2`, and appended to the v2 log (first
-//! write wins if a key exists in both), then the old log is renamed to
-//! `profiles.v1.log.migrated`. A store written entirely under v1
-//! replays all its profiles after the upgrade — zero re-profiles.
+//! Version 1 stores kept JSON payloads under magic `"PSR1"` in
+//! `profiles.v1.log`. That format is no longer read: open leaves such a
+//! file untouched and logs one warning naming it, and its keys
+//! re-profile on first use (stored profiles are a cache).
 //!
 //! ## Mmap lifetime rules
 //!
 //! The mapping is created once at open, covering exactly the
-//! CRC-validated prefix (after tail recovery and v1 migration), and is
+//! CRC-validated prefix (after tail recovery), and is
 //! never grown or remapped. Appends land strictly beyond the mapped
 //! prefix and are served by the `seek + read` fallback until the next
 //! open. The mapping is dropped (and `munmap`ed) with the store, and no
@@ -98,14 +95,10 @@ use sweep::ProfileStorage;
 
 /// Magic prefix of every v2 log record (`P`rophet `S`tore `R`ecord v`2`).
 const MAGIC: [u8; 4] = *b"PSR2";
-/// Magic prefix of legacy v1 records (JSON payloads).
-const MAGIC_V1: [u8; 4] = *b"PSR1";
 /// Fixed-size portion of a record frame: magic + three u32 fields.
 const HEADER_LEN: u64 = 16;
 /// Name of the record log inside a store directory.
 const LOG_NAME: &str = "profiles.v2.log";
-/// Name of the legacy v1 record log (migrated on open).
-const LOG_V1_NAME: &str = "profiles.v1.log";
 /// Name of the manifest inside a store directory.
 const MANIFEST_NAME: &str = "MANIFEST.json";
 /// File-name shape of sealed segments: `segment-NNNNNN.psr`.
@@ -489,13 +482,13 @@ struct RawFrame {
     next: u64,
 }
 
-/// Parse the frame starting at `at` in `bytes`, expecting `magic`.
-fn scan_frame(magic: &[u8; 4], bytes: &[u8], at: u64) -> Result<RawFrame, String> {
+/// Parse the frame starting at `at` in `bytes`.
+fn scan_frame(bytes: &[u8], at: u64) -> Result<RawFrame, String> {
     let rest = &bytes[at as usize..];
     if (rest.len() as u64) < HEADER_LEN {
         return Err(format!("truncated record header ({} bytes)", rest.len()));
     }
-    if rest[..4] != magic[..] {
+    if rest[..4] != MAGIC[..] {
         return Err("bad record magic".to_string());
     }
     let key_len = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as u64;
@@ -645,23 +638,6 @@ impl ProfileStore {
         }
     }
 
-    /// Open (creating if absent) the store in `dir` with default
-    /// [`StoreOptions`].
-    #[deprecated(since = "0.2.0", note = "use ProfileStore::builder(dir).open()")]
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, ProphetError> {
-        Self::open_impl(dir.into(), StoreOptions::default())
-    }
-
-    /// Open (creating if absent) the store in `dir` with explicit
-    /// options.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ProfileStore::builder(dir) and its setters"
-    )]
-    pub fn open_with(dir: impl Into<PathBuf>, opts: StoreOptions) -> Result<Self, ProphetError> {
-        Self::open_impl(dir.into(), opts)
-    }
-
     /// Open (creating if absent) the store in `dir`, scanning and
     /// CRC-validating every log. Sealed segments listed by the manifest
     /// are scanned first (in manifest order), then the active log with
@@ -673,8 +649,7 @@ impl ProfileStore {
     /// not name is an aborted seal or compaction — an aborted seal
     /// (active log missing) is adopted back as the active log, an
     /// aborted compaction (active log present) is deleted. A legacy
-    /// `PSR1` log in the directory is migrated into the active log
-    /// before the mapping is created (see the crate docs).
+    /// `PSR1` log is left untouched (see the crate docs).
     fn open_impl(dir: PathBuf, opts: StoreOptions) -> Result<Self, ProphetError> {
         fs::create_dir_all(&dir)?;
         let manifest = Self::read_manifest(&dir);
@@ -708,15 +683,8 @@ impl ProfileStore {
             };
             let bytes = fs::read(&path)?;
             let ord = sealed.len() as u32;
-            let (valid_len, records) = Self::scan_into_index(
-                &MAGIC,
-                &bytes,
-                ord,
-                &mut index,
-                &mut corrupt_skipped,
-                &path,
-                false,
-            );
+            let (valid_len, records) =
+                Self::scan_into_index(&bytes, ord, &mut index, &mut corrupt_skipped, &path, false);
             let map = map::Mapping::new(&file, valid_len);
             sealed.push(SegmentState {
                 name: m.name.clone(),
@@ -737,8 +705,7 @@ impl ProfileStore {
         let mut bytes = Vec::new();
         log.seek(SeekFrom::Start(0))?;
         log.read_to_end(&mut bytes)?;
-        let (mut valid_len, mut active_records) = Self::scan_into_index(
-            &MAGIC,
+        let (valid_len, active_records) = Self::scan_into_index(
             &bytes,
             ACTIVE_SEG,
             &mut index,
@@ -751,14 +718,13 @@ impl ProfileStore {
         }
         drop(bytes);
 
-        Self::migrate_v1(
-            &dir,
-            &mut log,
-            &mut valid_len,
-            &mut active_records,
-            &mut index,
-            &mut corrupt_skipped,
-        )?;
+        let v1_path = dir.join("profiles.v1.log");
+        if v1_path.exists() {
+            eprintln!(
+                "prophet-store: warning: ignoring legacy PSR1 log {}; its profiles will re-profile",
+                v1_path.display()
+            );
+        }
 
         let map = map::Mapping::new(&log, valid_len);
         let store = ProfileStore {
@@ -856,9 +822,7 @@ impl ProfileStore {
     /// Returns `(valid_len, records)`. With `is_active`, damage warns
     /// about trimming (the caller truncates); sealed segments just stop
     /// at the damage.
-    #[allow(clippy::too_many_arguments)]
     fn scan_into_index(
-        magic: &[u8; 4],
         bytes: &[u8],
         ord: u32,
         index: &mut HashMap<String, IndexEntry>,
@@ -869,7 +833,7 @@ impl ProfileStore {
         let mut at = 0u64;
         let mut records = 0u64;
         while at < bytes.len() as u64 {
-            let reason = match scan_frame(magic, bytes, at) {
+            let reason = match scan_frame(bytes, at) {
                 Ok(f) if f.crc_ok => {
                     index.entry(f.key).or_insert(IndexEntry {
                         seg: ord,
@@ -906,100 +870,6 @@ impl ProfileStore {
             break;
         }
         (at, records)
-    }
-
-    /// Migrate a legacy `PSR1` log (JSON payloads) into the v2 log.
-    /// Valid v1 records whose keys are absent from the v2 index are
-    /// re-encoded and appended; the v1 log is then renamed aside so the
-    /// migration runs exactly once. Damaged v1 tails are dropped just
-    /// like v2 recovery; a v1 record whose JSON no longer decodes is
-    /// skipped individually (its framing is intact, so the scan
-    /// continues behind it).
-    fn migrate_v1(
-        dir: &std::path::Path,
-        log: &mut fs::File,
-        valid_len: &mut u64,
-        active_records: &mut u64,
-        index: &mut HashMap<String, IndexEntry>,
-        corrupt_skipped: &mut u64,
-    ) -> Result<(), ProphetError> {
-        let v1_path = dir.join(LOG_V1_NAME);
-        if !v1_path.exists() {
-            return Ok(());
-        }
-        let bytes = fs::read(&v1_path)?;
-        let mut batch = Vec::new();
-        let mut staged: Vec<(String, IndexEntry)> = Vec::new();
-        let mut migrated = 0u64;
-        let mut at = 0u64;
-        while at < bytes.len() as u64 {
-            let frame = match scan_frame(&MAGIC_V1, &bytes, at) {
-                Ok(f) if f.crc_ok => f,
-                Ok(_) | Err(_) => {
-                    *corrupt_skipped += 1;
-                    eprintln!(
-                        "prophet-store: warning: damaged tail at byte {at} of {}; \
-                         dropping {} byte(s) from the migration",
-                        v1_path.display(),
-                        bytes.len() as u64 - at
-                    );
-                    break;
-                }
-            };
-            at = frame.next;
-            if index.contains_key(&frame.key) {
-                continue;
-            }
-            let start = frame.payload_at as usize;
-            let end = start + frame.payload_len as usize;
-            let profiled: Profiled = match std::str::from_utf8(&bytes[start..end])
-                .ok()
-                .and_then(|json| serde_json::from_str(json).ok())
-            {
-                Some(p) => p,
-                None => {
-                    *corrupt_skipped += 1;
-                    eprintln!(
-                        "prophet-store: warning: v1 record {:?} fails to decode; skipping it",
-                        frame.key
-                    );
-                    continue;
-                }
-            };
-            let mut payload = Vec::new();
-            prophet_core::codec::encode_profiled(&profiled, &mut payload);
-            let rec = build_frame(&frame.key, &payload);
-            staged.push((
-                frame.key,
-                IndexEntry {
-                    seg: ACTIVE_SEG,
-                    payload_at: *valid_len
-                        + batch.len() as u64
-                        + HEADER_LEN
-                        + (rec.len() - HEADER_LEN as usize - payload.len()) as u64,
-                    payload_len: payload.len() as u32,
-                    crc: crc32(&payload),
-                },
-            ));
-            batch.extend_from_slice(&rec);
-            migrated += 1;
-        }
-        if !batch.is_empty() {
-            log.seek(SeekFrom::Start(*valid_len))?;
-            log.write_all(&batch)?;
-            log.sync_all()?;
-            *valid_len += batch.len() as u64;
-            *active_records += staged.len() as u64;
-            for (key, entry) in staged {
-                index.insert(key, entry);
-            }
-        }
-        fs::rename(&v1_path, dir.join(format!("{LOG_V1_NAME}.migrated")))?;
-        eprintln!(
-            "prophet-store: migrated {migrated} record(s) from {} to the v2 log",
-            v1_path.display()
-        );
-        Ok(())
     }
 
     /// Atomically rewrite the manifest to describe the current state:
@@ -1628,11 +1498,10 @@ impl ProfileStore {
 /// One record's verification status in an [`InspectReport`].
 #[derive(Debug, Clone, Serialize)]
 pub struct InspectRecord {
-    /// Frame format version: 2 for `PSR2`, 1 for a legacy `PSR1` log
-    /// still awaiting migration.
+    /// Frame format version (always 2, `PSR2`).
     pub version: u8,
-    /// File the record was scanned from (active log, a sealed segment,
-    /// or an unmigrated v1 log).
+    /// File the record was scanned from (active log or a sealed
+    /// segment).
     pub file: String,
     /// The record's store-level key.
     pub key: String,
@@ -1646,8 +1515,8 @@ pub struct InspectRecord {
 /// produced by [`inspect`].
 #[derive(Debug, Clone, Serialize)]
 pub struct InspectReport {
-    /// Every record reachable by frame scanning, in log order (v2 log
-    /// first, then an unmigrated v1 log if present).
+    /// Every record reachable by frame scanning, in log order (sealed
+    /// segments first, then the active log).
     pub records: Vec<InspectRecord>,
     /// Total bytes across the inspected log files.
     pub disk_bytes: u64,
@@ -1669,7 +1538,7 @@ impl InspectReport {
 }
 
 /// Scan and CRC-verify the logs in a store directory without opening
-/// (or repairing) the store. Unlike [`ProfileStore::open_with`], a CRC
+/// (or repairing) the store. Unlike [`StoreBuilder::open`], a CRC
 /// mismatch does not stop the scan — the frame's lengths still chain —
 /// so the report lists every reachable record with its verdict. Never
 /// modifies the directory.
@@ -1684,17 +1553,16 @@ pub fn inspect(dir: impl Into<PathBuf>) -> Result<InspectReport, ProphetError> {
     let mut records = Vec::new();
     let mut disk_bytes = 0u64;
     let mut corrupt_tail = None;
-    // Sealed segments (manifest order) first, then the active log, then
-    // an unmigrated v1 log — the same order open scans them in.
-    let mut files: Vec<(String, &[u8; 4], u8)> = ProfileStore::read_manifest(&dir)
+    // Sealed segments (manifest order) first, then the active log — the
+    // same order open scans them in.
+    let mut files: Vec<String> = ProfileStore::read_manifest(&dir)
         .and_then(|m| m.segments)
         .unwrap_or_default()
         .into_iter()
-        .map(|s| (s.name, &MAGIC, 2u8))
+        .map(|s| s.name)
         .collect();
-    files.push((LOG_NAME.to_string(), &MAGIC, 2u8));
-    files.push((LOG_V1_NAME.to_string(), &MAGIC_V1, 1u8));
-    for (name, magic, version) in files {
+    files.push(LOG_NAME.to_string());
+    for name in files {
         let name = name.as_str();
         let path = dir.join(name);
         let Ok(bytes) = fs::read(&path) else {
@@ -1703,10 +1571,10 @@ pub fn inspect(dir: impl Into<PathBuf>) -> Result<InspectReport, ProphetError> {
         disk_bytes += bytes.len() as u64;
         let mut at = 0u64;
         while at < bytes.len() as u64 {
-            match scan_frame(magic, &bytes, at) {
+            match scan_frame(&bytes, at) {
                 Ok(f) => {
                     records.push(InspectRecord {
-                        version,
+                        version: 2,
                         file: name.to_string(),
                         key: f.key,
                         payload_len: f.payload_len,
@@ -1843,26 +1711,6 @@ mod tests {
         p
     }
 
-    /// Write a legacy `PSR1` frame (JSON payload) for `profiled` at the
-    /// end of `path`, as a v1-era store would have.
-    fn append_v1_record(path: &PathBuf, key: &str, profiled: &Profiled) {
-        let payload = serde_json::to_string(profiled).unwrap().into_bytes();
-        let key_bytes = key.as_bytes();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC_V1);
-        frame.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(key_bytes);
-        frame.extend_from_slice(&payload);
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .unwrap();
-        f.write_all(&frame).unwrap();
-    }
-
     #[test]
     fn crc32_matches_reference_vectors() {
         assert_eq!(crc32(b""), 0x0000_0000);
@@ -1994,37 +1842,6 @@ mod tests {
             .segments
             .expect("v3 manifest lists segments")
             .is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn psr1_log_upgrades_on_open_with_zero_reprofiles() {
-        let dir = tmpdir("upgrade");
-        fs::create_dir_all(&dir).unwrap();
-        let a = sample_profiled("v1-a");
-        let b = sample_profiled("v1-b");
-        let v1 = dir.join(LOG_V1_NAME);
-        append_v1_record(&v1, "ka", &a);
-        append_v1_record(&v1, "kb", &b);
-
-        let store = ProfileStore::builder(&dir).open().unwrap();
-        assert_eq!(store.len(), 2, "both v1 records migrate");
-        for (key, want) in [("ka", &a), ("kb", &b)] {
-            let got = store.get(key).unwrap().expect("migrated record replays");
-            assert_eq!(
-                serde_json::to_string(&got).unwrap(),
-                serde_json::to_string(want).unwrap(),
-                "migrated record {key} must replay byte-identically"
-            );
-        }
-        assert!(!v1.exists(), "v1 log renamed aside after migration");
-        assert!(dir.join(format!("{LOG_V1_NAME}.migrated")).exists());
-        drop(store);
-
-        // Re-open: no second migration, records still there.
-        let store = ProfileStore::builder(&dir).open().unwrap();
-        assert_eq!(store.len(), 2);
-        assert!(store.get("ka").unwrap().is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -127,7 +127,7 @@ pub trait ProfileStorage: Send + Sync {
 /// deliberately excluded so a sweep's output stays byte-identical whether
 /// its profiles came from the profiler or from a warm store — the
 /// byte-stability contract predictions are pinned by. Store counters
-/// surface through `/metrics` and stderr instead.
+/// surface through `/v1/metrics` and stderr instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from an already-profiled in-memory entry.

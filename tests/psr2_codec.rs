@@ -1,18 +1,14 @@
 //! PSR2 binary-codec integration tests: the compact profile encoding
-//! must be a *lossless* stand-in for the JSON (`PSR1`) path on every
-//! workload the repo ships, and the store must heal damaged frames and
-//! transparently upgrade v1 logs.
+//! must be a *lossless* stand-in for the JSON serialization on every
+//! workload the repo ships, and the store must heal damaged frames.
 //!
 //! The contract: persistence format changes cost, never bytes. Every
 //! profile that round-trips through `encode_profiled`/`decode_profiled`
-//! serializes to exactly the JSON the v1 store would have replayed, so
-//! no consumer can tell which frame version served it.
-
-use std::sync::Arc;
+//! serializes to exactly the JSON of the original, so no consumer can
+//! tell the binary frame served it.
 
 use prophet_core::{codec, Prophet};
-use store::{crc32, KeyedStore, ProfileStore};
-use sweep::{GridSpec, Overrides, PredictorSpec, SweepEngine, WorkloadSpec};
+use store::ProfileStore;
 use workloads::npb::{Cg, Ep, Ft, Is, Mg};
 use workloads::ompscr::{Fft, Jacobi, Lu, Mandelbrot, Md, Pi, QSort};
 use workloads::{Benchmark, PipelineParams, PipelineWl, Test1, Test1Params, Test2, Test2Params};
@@ -86,81 +82,6 @@ fn psr2_round_trips_byte_identically_across_all_workloads() {
             json_orig.len()
         );
     }
-}
-
-fn grid() -> GridSpec {
-    GridSpec {
-        workloads: vec![WorkloadSpec::test1(11), WorkloadSpec::test1(12)],
-        threads: vec![2, 4],
-        schedules: vec![prophet_core::machsim::Schedule::static_block()],
-        paradigms: vec![prophet_core::machsim::Paradigm::OpenMp],
-        predictors: vec![PredictorSpec::syn(true)],
-        overrides: Overrides::default(),
-    }
-}
-
-/// An engine whose profile cache reads through / writes behind `dir`.
-fn engine_on(dir: &std::path::Path) -> SweepEngine {
-    let store = Arc::new(ProfileStore::builder(dir).open().expect("store opens"));
-    let prophet = Prophet::builder().calibration(quick_cal()).build();
-    let keyed = KeyedStore::new(store, &prophet);
-    SweepEngine::new(prophet)
-        .with_jobs(1)
-        .with_profile_store(Arc::new(keyed))
-}
-
-/// The acceptance path for the upgrade: a store directory written
-/// entirely in the v1 era (JSON payloads, `profiles.v1.log`) is opened
-/// by the v2 store, migrated in place, and replays every profile with
-/// zero re-profiles and byte-identical sweep output.
-#[test]
-fn psr1_store_upgrades_on_open_and_replays_with_zero_reprofiles() {
-    // Produce reference profiles (and the cold sweep bytes) in one
-    // directory, then rebuild them as a v1-era log in a second one.
-    let src_dir = tmpdir("upgrade-src");
-    let cold_engine = engine_on(&src_dir);
-    let cold = serde_json::to_string_pretty(&cold_engine.run(&grid())).unwrap();
-    assert_eq!(cold_engine.cache().stats().profiles(), 2);
-    drop(cold_engine);
-
-    let v1_dir = tmpdir("upgrade-dst");
-    std::fs::create_dir_all(&v1_dir).unwrap();
-    let src = ProfileStore::builder(&src_dir)
-        .open()
-        .expect("source store reopens");
-    let report = store::inspect(&src_dir).expect("source store inspects");
-    assert_eq!(report.records.len(), 2);
-    let mut v1_log = Vec::new();
-    for rec in &report.records {
-        let profiled = src.get(&rec.key).unwrap().expect("record present");
-        let payload = serde_json::to_string(&profiled).unwrap().into_bytes();
-        v1_log.extend_from_slice(b"PSR1");
-        v1_log.extend_from_slice(&(rec.key.len() as u32).to_le_bytes());
-        v1_log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        v1_log.extend_from_slice(&crc32(&payload).to_le_bytes());
-        v1_log.extend_from_slice(rec.key.as_bytes());
-        v1_log.extend_from_slice(&payload);
-    }
-    std::fs::write(v1_dir.join("profiles.v1.log"), &v1_log).unwrap();
-
-    // Open under v2: transparent upgrade, then a fully warm replay.
-    let warm_engine = engine_on(&v1_dir);
-    let warm = serde_json::to_string_pretty(&warm_engine.run(&grid())).unwrap();
-    let stats = warm_engine.cache().stats();
-    assert_eq!(warm, cold, "upgraded store changed the sweep bytes");
-    assert_eq!(stats.store_hits, 2, "both migrated records must replay");
-    assert_eq!(stats.profiles(), 0, "upgrade must not re-profile");
-    assert_eq!(stats.store_writes, 0, "nothing new to write");
-
-    assert!(
-        !v1_dir.join("profiles.v1.log").exists(),
-        "v1 log renamed aside after migration"
-    );
-    assert!(v1_dir.join("profiles.v1.log.migrated").exists());
-    assert!(v1_dir.join("profiles.v2.log").exists());
-
-    let _ = std::fs::remove_dir_all(&src_dir);
-    let _ = std::fs::remove_dir_all(&v1_dir);
 }
 
 /// WAL healing over real profiles: a frame torn mid-append is dropped

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use prophet_core::machsim::{Paradigm, Schedule};
 use prophet_core::Prophet;
 use serve::http::client_request;
+use serve::router::{Router, RouterConfig};
 use serve::{evaluate_requests, NormalizedRequest, Resolver, ServeConfig, Server, ServerHandle};
 use sweep::{GridSpec, Overrides, PredictorSpec, SweepEngine, WorkloadSpec};
 
@@ -94,17 +95,17 @@ fn batched_response_matches_solo_and_cli_sweep() {
 }
 
 /// (b) loopback: cold, batched, and cached responses are byte-identical;
-/// the cache advertises itself; /healthz and /metrics work.
+/// the cache advertises itself; /v1/healthz and /v1/metrics work.
 #[test]
 fn loopback_cold_then_cached_is_byte_identical() {
     let handle = start_server(loopback_config());
     let addr = handle.local_addr().to_string();
 
-    let (s1, h1, cold) = client_request(&addr, "POST", "/predict", Some(BODY_A)).unwrap();
+    let (s1, h1, cold) = client_request(&addr, "POST", "/v1/predict", Some(BODY_A)).unwrap();
     assert_eq!(s1, 200, "cold request failed: {cold}");
     assert_eq!(header(&h1, "x-cache"), Some("miss"));
 
-    let (s2, h2, cached) = client_request(&addr, "POST", "/predict", Some(BODY_A)).unwrap();
+    let (s2, h2, cached) = client_request(&addr, "POST", "/v1/predict", Some(BODY_A)).unwrap();
     assert_eq!(s2, 200);
     assert_eq!(header(&h2, "x-cache"), Some("hit"));
     assert_eq!(cold, cached, "cache changed the response bytes");
@@ -114,11 +115,11 @@ fn loopback_cold_then_cached_is_byte_identical() {
     assert_eq!(cold, solo[0], "daemon bytes differ from direct evaluation");
 
     // Health and metrics endpoints.
-    let (hs, _, health) = client_request(&addr, "GET", "/healthz", None).unwrap();
+    let (hs, _, health) = client_request(&addr, "GET", "/v1/healthz", None).unwrap();
     assert_eq!(hs, 200);
     assert!(health.contains("ok"), "unexpected healthz body: {health}");
 
-    let (ms, _, metrics) = client_request(&addr, "GET", "/metrics", None).unwrap();
+    let (ms, _, metrics) = client_request(&addr, "GET", "/v1/metrics", None).unwrap();
     assert_eq!(ms, 200);
     let v: serde::Value = serde_json::from_str(&metrics).expect("metrics JSON parses");
     let hits = v
@@ -128,49 +129,54 @@ fn loopback_cold_then_cached_is_byte_identical() {
         .expect("result_cache_hits counter present");
     assert!(hits >= 1.0, "expected a recorded cache hit, got {hits}");
 
-    let (ps, _, prom) = client_request(&addr, "GET", "/metrics?format=prom", None).unwrap();
+    let (ps, _, prom) = client_request(&addr, "GET", "/v1/metrics?format=prom", None).unwrap();
     assert_eq!(ps, 200);
     assert!(prom.contains("# TYPE"), "not Prometheus text: {prom}");
 
     let (nf, _, _) = client_request(&addr, "GET", "/nope", None).unwrap();
     assert_eq!(nf, 404);
-    let (mna, _, _) = client_request(&addr, "GET", "/predict", None).unwrap();
+    let (mna, _, _) = client_request(&addr, "GET", "/v1/predict", None).unwrap();
     assert_eq!(mna, 405);
-    let (bad, _, _) = client_request(&addr, "POST", "/predict", Some("{\"workload\":42")).unwrap();
+    let (bad, _, _) =
+        client_request(&addr, "POST", "/v1/predict", Some("{\"workload\":42")).unwrap();
     assert_eq!(bad, 400);
 
     handle.shutdown();
 }
 
-/// (b2) the versioned v1 endpoints and their deprecated unversioned
-/// aliases answer byte-identical bodies; the alias carries a
-/// `Deprecation` header; and the 400-vs-422 error split matches the
-/// stable `ProphetError` codes.
+/// (b2) only `/v1/...` is served: unversioned paths answer 404 with no
+/// `Deprecation` header, on the daemon and through the router; and the
+/// 400-vs-422 error split matches the stable `ProphetError` codes.
 #[test]
-fn v1_endpoints_alias_legacy_with_identical_bodies() {
+fn unversioned_paths_are_404_on_daemon_and_router() {
     let handle = start_server(loopback_config());
     let addr = handle.local_addr().to_string();
+    let router = Router::start(
+        RouterConfig {
+            addr: "127.0.0.1:0".to_string(),
+            shards: vec![addr.clone()],
+            replicas: 1,
+        },
+        test_resolver(),
+    )
+    .expect("router starts");
+    let router_addr = router.local_addr().to_string();
 
-    let (s1, h1, v1) = client_request(&addr, "POST", "/v1/predict", Some(BODY_A)).unwrap();
-    assert_eq!(s1, 200, "v1 predict failed: {v1}");
-    let (s2, h2, legacy) = client_request(&addr, "POST", "/predict", Some(BODY_A)).unwrap();
-    assert_eq!(s2, 200);
-    assert_eq!(v1, legacy, "v1 and legacy bodies must be identical");
-    assert!(
-        header(&h2, "deprecation").is_some(),
-        "legacy spelling must carry a Deprecation header"
-    );
-    assert!(
-        header(&h1, "deprecation").is_none(),
-        "v1 spelling is not deprecated"
-    );
-
-    for endpoint in ["healthz", "metrics"] {
-        let (sv, _, _) = client_request(&addr, "GET", &format!("/v1/{endpoint}"), None).unwrap();
-        let (sl, hl, _) = client_request(&addr, "GET", &format!("/{endpoint}"), None).unwrap();
-        assert_eq!((sv, sl), (200, 200), "{endpoint} aliases disagree");
-        assert!(header(&hl, "deprecation").is_some());
+    for target in [&addr, &router_addr] {
+        for (method, path, body) in [
+            ("POST", "/predict", Some(BODY_A)),
+            ("GET", "/healthz", None),
+            ("GET", "/metrics", None),
+        ] {
+            let (status, headers, _) = client_request(target, method, path, body).unwrap();
+            assert_eq!(status, 404, "{method} {path} via {target}");
+            assert!(header(&headers, "deprecation").is_none());
+            let (status, _, _) =
+                client_request(target, method, &format!("/v1{path}"), body).unwrap();
+            assert_eq!(status, 200, "{method} /v1{path} via {target}");
+        }
     }
+    router.shutdown();
 
     // Malformed JSON is the client's 400 (invalid_request)...
     let (status, _, body) =
@@ -207,7 +213,7 @@ fn queue_overflow_sheds_and_drain_fails_closed() {
         .into_iter()
         .map(|body| {
             let addr = addr.clone();
-            std::thread::spawn(move || client_request(&addr, "POST", "/predict", Some(body)))
+            std::thread::spawn(move || client_request(&addr, "POST", "/v1/predict", Some(body)))
         })
         .collect();
     wait_for(
@@ -217,7 +223,7 @@ fn queue_overflow_sheds_and_drain_fails_closed() {
 
     // ...so the third is shed immediately rather than hung.
     let third = r#"{"workload":"t1-3","threads":[2],"predictors":["syn+mm"]}"#;
-    let (status, _, body) = client_request(&addr, "POST", "/predict", Some(third)).unwrap();
+    let (status, _, body) = client_request(&addr, "POST", "/v1/predict", Some(third)).unwrap();
     assert_eq!(status, 429, "expected shed, got {status}: {body}");
     assert_eq!(handle.metrics().shed_total.load(Ordering::Relaxed), 1);
 
@@ -236,14 +242,14 @@ fn graceful_shutdown_completes_inflight_requests() {
     let addr = handle.local_addr().to_string();
 
     // Warm-up proves the pipeline works end to end.
-    let (s, _, _) = client_request(&addr, "POST", "/predict", Some(BODY_A)).unwrap();
+    let (s, _, _) = client_request(&addr, "POST", "/v1/predict", Some(BODY_A)).unwrap();
     assert_eq!(s, 200);
 
     // Admit a fresh (uncached) request, then shut down while it is in
     // flight: drain must answer it 200, not drop it.
     let inflight = {
         let addr = addr.clone();
-        std::thread::spawn(move || client_request(&addr, "POST", "/predict", Some(BODY_B)))
+        std::thread::spawn(move || client_request(&addr, "POST", "/v1/predict", Some(BODY_B)))
     };
     wait_for(
         || handle.metrics().requests_total.load(Ordering::Relaxed) >= 2,
@@ -527,7 +533,7 @@ fn oversized_slow_and_idle_connections_are_hardened() {
     let mut slow = TcpStream::connect(&addr).unwrap();
     slow.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    slow.write_all(b"GET /healthz HT").unwrap();
+    slow.write_all(b"GET /v1/healthz HT").unwrap();
     let mut buf = Vec::new();
     let (status, _, _) = read_raw_response(&mut slow, &mut buf);
     assert_eq!(status, 408, "stalled header must time out");

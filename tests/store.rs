@@ -87,6 +87,56 @@ fn store_warm_restart_is_byte_identical_with_zero_profiles() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `profiles.v1.log` (the retired JSON-payload `PSR1` format) left in
+/// a store directory is ignored: the store opens, the file stays
+/// byte-identical, and a sweep re-profiles the keys it holds — with the
+/// same output bytes as the cold run that produced them.
+#[test]
+fn legacy_psr1_log_is_left_untouched_and_reprofiles() {
+    let src_dir = tmpdir("psr1-src");
+    let cold_engine = engine_on(&src_dir, quick_cal());
+    let cold = serde_json::to_string_pretty(&cold_engine.run(&grid())).unwrap();
+    drop(cold_engine);
+
+    // Rebuild the cold run's records as a v1-era log in a fresh directory.
+    let src = ProfileStore::builder(&src_dir)
+        .open()
+        .expect("source reopens");
+    let report = store::inspect(&src_dir).expect("source inspects");
+    assert_eq!(report.records.len(), 2);
+    let mut v1_log = Vec::new();
+    for rec in &report.records {
+        let profiled = src.get(&rec.key).unwrap().expect("record present");
+        let payload = serde_json::to_string(&profiled).unwrap().into_bytes();
+        v1_log.extend_from_slice(b"PSR1");
+        v1_log.extend_from_slice(&(rec.key.len() as u32).to_le_bytes());
+        v1_log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1_log.extend_from_slice(&store::crc32(&payload).to_le_bytes());
+        v1_log.extend_from_slice(rec.key.as_bytes());
+        v1_log.extend_from_slice(&payload);
+    }
+    let v1_dir = tmpdir("psr1-dst");
+    std::fs::create_dir_all(&v1_dir).unwrap();
+    let v1_path = v1_dir.join("profiles.v1.log");
+    std::fs::write(&v1_path, &v1_log).unwrap();
+
+    let engine = engine_on(&v1_dir, quick_cal());
+    let out = serde_json::to_string_pretty(&engine.run(&grid())).unwrap();
+    let stats = engine.cache().stats();
+    assert_eq!(out, cold, "re-profiled sweep bytes drifted");
+    assert_eq!(stats.store_hits, 0, "the v1 log must not be read");
+    assert_eq!(stats.profiles(), 2, "its keys re-profile");
+    drop(engine);
+    assert_eq!(
+        std::fs::read(&v1_path).unwrap(),
+        v1_log,
+        "the v1 log is left byte-identical"
+    );
+
+    let _ = std::fs::remove_dir_all(&src_dir);
+    let _ = std::fs::remove_dir_all(&v1_dir);
+}
+
 /// A store written under one calibration is invisible to a prophet with
 /// a different one: the fingerprint suffix fences it off, forcing a
 /// re-profile instead of replaying stale assumptions.
