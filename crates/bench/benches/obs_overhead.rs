@@ -1,15 +1,11 @@
 //! Criterion bench guard: machsim run time with no recorder attached vs.
 //! a `prophet-obs` recorder at full verbosity.
 //!
-//! The guarded claim (ISSUE obs satellite): on a representative
-//! compute-dominated workload, attaching a recorder costs under 5%;
-//! compiling the `obs` feature out costs exactly zero — the
-//! instrumentation macros expand to nothing, so an obs-less build is
-//! token-identical to the pre-obs simulator (the CI `obs-disabled` job
-//! builds that configuration; its bench numbers are the same binary,
-//! hence identical). `lock_storm` is the adversarial upper bound: every
-//! simulated op is a synchronisation op, so event cost is maximally
-//! exposed (expect tens of percent there — it is not the guard).
+//! The guarded claim: on a representative compute-dominated workload,
+//! attaching a recorder costs under 5%. `lock_storm` is the adversarial
+//! upper bound: every simulated op is a synchronisation op, so event
+//! cost is maximally exposed (expect tens of percent there — it is not
+//! the guard).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use machsim::{Machine, MachineConfig, ScriptBody, ScriptOp, WorkPacket};

@@ -31,24 +31,6 @@ use machsim::{
 };
 use serde::{Deserialize, Serialize};
 
-/// Record an event on the machine's recorder via the worker's [`Env`],
-/// timestamped with virtual time. Expands to nothing without the `obs`
-/// feature.
-#[cfg(feature = "obs")]
-macro_rules! obs_env {
-    ($env:expr, $($kind:tt)+) => {
-        if let Some(h) = $env.obs() {
-            let t = $env.now();
-            h.record(t, prophet_obs::EventKind::$($kind)+);
-        }
-    };
-}
-
-#[cfg(not(feature = "obs"))]
-macro_rules! obs_env {
-    ($env:expr, $($kind:tt)+) => {};
-}
-
 /// Runtime overheads in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CilkOverheads {
@@ -254,7 +236,7 @@ impl CilkWorker {
                             join: join.clone(),
                         });
                     self.pending_ovh += self.pool.overheads.spawn;
-                    obs_env!(env, TaskSpawn { worker: self.rank });
+                    env.record_event(prophet_obs::EventKind::TaskSpawn { worker: self.rank });
                     self.pool.wake_one(env);
                     hi = mid;
                 }
@@ -289,7 +271,7 @@ impl CilkWorker {
                         .take()
                         .expect("join completed twice or never suspended");
                     self.pending_ovh += self.pool.overheads.sync;
-                    obs_env!(env, TaskSync { worker: self.rank });
+                    env.record_event(prophet_obs::EventKind::TaskSync { worker: self.rank });
                     self.current = Some(resume);
                 }
             }
@@ -321,25 +303,19 @@ impl ThreadBody for CilkWorker {
                         continue;
                     }
                     if let Some(s) = self.pool.deques[v as usize].borrow_mut().pop_front() {
-                        obs_env!(
-                            env,
-                            StealAttempt {
-                                thief: self.rank,
-                                victim: v,
-                                success: true,
-                            }
-                        );
+                        env.record_event(prophet_obs::EventKind::StealAttempt {
+                            thief: self.rank,
+                            victim: v,
+                            success: true,
+                        });
                         stolen = Some(s);
                         break;
                     }
-                    obs_env!(
-                        env,
-                        StealAttempt {
-                            thief: self.rank,
-                            victim: v,
-                            success: false
-                        }
-                    );
+                    env.record_event(prophet_obs::EventKind::StealAttempt {
+                        thief: self.rank,
+                        victim: v,
+                        success: false,
+                    });
                 }
                 if let Some(strand) = stolen {
                     self.pending_ovh += self.pool.overheads.steal;

@@ -834,7 +834,10 @@ fn main() {
                         ..whatif::EmuEnv::for_machine(prophet.machine())
                     };
                     let (_, wc) = whatif::analyze(&spec.name, &profiled.tree, &wspec, &wenv, 1);
-                    whatif::publish_counters(&wc, &mut m.registry);
+                    let reg = &mut m.registry;
+                    reg.inc("whatif.regions_analyzed", wc.regions_analyzed);
+                    reg.inc("whatif.emulations_run", wc.emulations_run);
+                    reg.inc("whatif.pareto_pruned", wc.pareto_pruned);
                     m
                 });
             if args.json {

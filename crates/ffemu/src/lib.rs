@@ -66,19 +66,13 @@ use proftree::{burden_factor, Cycles, FlatTree, LockId, NodeId, ProgramTree, Tre
 use serde::{Deserialize, Serialize};
 
 /// Record an event on the emulation's recorder at emulated time `$t`.
-/// Expands to nothing without the `obs` feature.
-#[cfg(feature = "obs")]
+/// The event is built only when a recorder is attached.
 macro_rules! obs_at {
     ($st:expr, $t:expr, $($kind:tt)+) => {
         if let Some(h) = $st.obs.as_ref() {
             h.record($t, prophet_obs::EventKind::$($kind)+);
         }
     };
-}
-
-#[cfg(not(feature = "obs"))]
-macro_rules! obs_at {
-    ($st:expr, $t:expr, $($kind:tt)+) => {};
 }
 
 /// Options for one FF prediction.
@@ -125,7 +119,7 @@ impl FfOptions {
 
 /// Fast-path effectiveness counters from one FF prediction. Exposed via
 /// [`predict_counting`]; publish into a metrics registry with
-/// [`publish_counters`] (obs feature). Both stay zero on the per-op path
+/// [`publish_counters`]. Both stay zero on the per-op path
 /// (`expand_runs`, an attached recorder).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FfCounters {
@@ -190,7 +184,6 @@ struct FfState<'t, V: TreeView<'t>> {
     /// Fast-path effectiveness counters for this prediction.
     counters: FfCounters,
     /// Structured event recorder (emulated-time timestamps).
-    #[cfg(feature = "obs")]
     obs: Option<prophet_obs::ObsHandle>,
     _tree: PhantomData<&'t ()>,
 }
@@ -208,7 +201,6 @@ impl<'t, V: TreeView<'t>> FfState<'t, V> {
             stamp: 0,
             memo_burden: None,
             counters: FfCounters::default(),
-            #[cfg(feature = "obs")]
             obs: None,
             _tree: PhantomData,
         }
@@ -218,16 +210,11 @@ impl<'t, V: TreeView<'t>> FfState<'t, V> {
     /// when expansion is forced, nor when a recorder must see every
     /// `EmuHeapPop`/`ChunkDispatch` event.
     fn closed_forms(&self) -> bool {
-        #[cfg(feature = "obs")]
-        if self.obs.is_some() {
-            return false;
-        }
-        !self.opts.expand_runs
+        self.obs.is_none() && !self.opts.expand_runs
     }
 }
 
 /// Record the begin/end of a top-level emulated section span.
-#[cfg(feature = "obs")]
 fn obs_section_span<'t, V: TreeView<'t>>(st: &FfState<'t, V>, begin: bool, idx: usize, t: u64) {
     if let Some(h) = st.obs.as_ref() {
         let label = h.intern(&format!("sec{idx}"));
@@ -302,7 +289,6 @@ fn run_on<'t, V: TreeView<'t>>(view: V, opts: FfOptions) -> (FfPrediction, FfCou
 
 /// Publish FF fast-path counters into a metrics registry under the
 /// `ff.*` names.
-#[cfg(feature = "obs")]
 pub fn publish_counters(c: &FfCounters, reg: &mut prophet_obs::MetricsRegistry) {
     reg.inc("ff.runs_fastpathed", c.runs_fastpathed);
     reg.inc("ff.iters_skipped", c.iters_skipped);
@@ -310,7 +296,6 @@ pub fn publish_counters(c: &FfCounters, reg: &mut prophet_obs::MetricsRegistry) 
 
 /// [`predict`], recording heap pops, chunk dispatches, emulated lock
 /// events and section spans on `obs` with emulated-time timestamps.
-#[cfg(feature = "obs")]
 pub fn predict_with_obs(
     tree: &ProgramTree,
     opts: FfOptions,
@@ -343,10 +328,8 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
                 for t in st.cpu_time.iter_mut() {
                     *t = now;
                 }
-                #[cfg(feature = "obs")]
                 obs_section_span(st, true, sections.len(), now);
                 let end = emulate_section(st, child, 0, now, factor);
-                #[cfg(feature = "obs")]
                 obs_section_span(st, false, sections.len(), end);
                 sections.push((view.length(child), end - now));
                 now = end;
@@ -360,7 +343,6 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
                 for t in st.cpu_time.iter_mut() {
                     *t = now;
                 }
-                #[cfg(feature = "obs")]
                 obs_section_span(st, true, sections.len(), now);
                 let end = if opts.model_pipelines {
                     emulate_pipe(st, child, now, factor)
@@ -368,7 +350,6 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
                     // Tool without pipeline support: serial execution.
                     now + scale(view.length(child), factor)
                 };
-                #[cfg(feature = "obs")]
                 obs_section_span(st, false, sections.len(), end);
                 sections.push((view.length(child), end - now));
                 now = end;

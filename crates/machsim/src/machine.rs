@@ -10,9 +10,8 @@ use crate::sync::{BarrierId, BarrierState, LockState, ParkState, SimLockId};
 use crate::thread::{Action, Env, ThreadBody, ThreadId};
 
 /// Record an event on the machine's attached recorder, timestamped with
-/// the current virtual time. Expands to nothing without the `obs`
-/// feature, so call sites carry zero cost in untraced builds.
-#[cfg(feature = "obs")]
+/// the current virtual time. The event is built only when a recorder is
+/// attached.
 macro_rules! obs {
     ($m:expr, $($kind:tt)+) => {
         if let Some(h) = $m.obs.as_ref() {
@@ -20,11 +19,6 @@ macro_rules! obs {
             h.record(t, prophet_obs::EventKind::$($kind)+);
         }
     };
-}
-
-#[cfg(not(feature = "obs"))]
-macro_rules! obs {
-    ($m:expr, $($kind:tt)+) => {};
 }
 
 /// Errors terminating a run abnormally.
@@ -171,7 +165,6 @@ pub struct Machine {
     /// Execution timeline, recorded when tracing is enabled.
     trace: Option<crate::trace::Timeline>,
     /// Structured event recorder, when attached.
-    #[cfg(feature = "obs")]
     obs: Option<prophet_obs::ObsHandle>,
 }
 
@@ -200,7 +193,6 @@ impl Machine {
             omega_cache_hits: 0,
             stale_events_skipped: 0,
             trace: None,
-            #[cfg(feature = "obs")]
             obs: None,
             cfg,
         }
@@ -209,13 +201,11 @@ impl Machine {
     /// Attach a structured-event recorder; every scheduler, lock,
     /// barrier and DRAM-rate transition is recorded against it from now
     /// on. Clone the handle to share the same recorder with runtimes.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, obs: prophet_obs::ObsHandle) {
         self.obs = Some(obs);
     }
 
     /// The attached recorder, if any.
-    #[cfg(feature = "obs")]
     pub fn obs_handle(&self) -> Option<prophet_obs::ObsHandle> {
         self.obs.clone()
     }
@@ -726,8 +716,8 @@ impl Machine {
     /// "a fresh machine" call this between measurements instead of
     /// constructing — and re-heap-allocating — a new [`Machine`].
     ///
-    /// The attached obs recorder (when the `obs` feature is on) is kept;
-    /// tracing, if it was enabled, stays enabled with an empty timeline.
+    /// The attached obs recorder is kept; tracing, if it was enabled,
+    /// stays enabled with an empty timeline.
     pub fn reset(&mut self) {
         let tracing = self.trace.is_some();
         self.now = 0;
@@ -787,7 +777,6 @@ impl Machine {
 
     /// Publish the machine's observability counters into a metrics
     /// registry under the `machsim.*` names.
-    #[cfg(feature = "obs")]
     pub fn publish_metrics(&self, reg: &mut prophet_obs::MetricsRegistry) {
         reg.inc("machsim.omega_cache_hits", self.omega_cache_hits);
         reg.inc("machsim.stale_events_skipped", self.stale_events_skipped);
@@ -836,7 +825,6 @@ impl Env for MachineEnv<'_> {
         self.m.cfg.cores
     }
 
-    #[cfg(feature = "obs")]
     fn obs(&self) -> Option<prophet_obs::ObsHandle> {
         self.m.obs.clone()
     }

@@ -94,9 +94,15 @@ pub trait Env {
     /// The machine's structured-event recorder, when one is attached.
     /// Runtimes use it to record their own events (chunk dispatches,
     /// steals, region spans) on the shared virtual clock.
-    #[cfg(feature = "obs")]
     fn obs(&self) -> Option<prophet_obs::ObsHandle> {
         None
+    }
+    /// Record `kind` on the attached recorder at the current virtual
+    /// time; a no-op when none is attached.
+    fn record_event(&self, kind: prophet_obs::EventKind) {
+        if let Some(h) = self.obs() {
+            h.record(self.now(), kind);
+        }
     }
 }
 

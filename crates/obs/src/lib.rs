@@ -23,10 +23,9 @@
 //!   latency histogram with p50/p95/p99 readout, and Chrome-trace/JSONL
 //!   span exporters.
 //!
-//! Producers (machsim, omp-rt, cilk-rt, ffemu, synthemu, tracer) gate
-//! their instrumentation behind an `obs` cargo feature, so disabling the
-//! feature removes this crate — and every recording call site — from the
-//! build entirely.
+//! Producers (machsim, omp-rt, cilk-rt, ffemu, synthemu, tracer) record
+//! only while a recorder is attached; an unattached run pays one
+//! `Option` check per call site.
 
 pub mod export;
 pub mod metrics;

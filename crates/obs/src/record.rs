@@ -228,8 +228,7 @@ impl EventKind {
     }
 }
 
-/// Runtime recording verbosity. Producers also honour the compile-time
-/// `obs` feature; this level filters within an obs-enabled build.
+/// Runtime recording verbosity of an attached recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum ObsLevel {
     /// Record nothing (an attached recorder can be muted).

@@ -17,27 +17,8 @@
 //! EPCC-style microbenchmark methodology the paper cites ([6, 8]); see
 //! [`OmpOverheads`].
 
-/// Record an event on the machine's recorder via the worker's [`Env`],
-/// timestamped with virtual time. Expands to nothing without the `obs`
-/// feature.
-#[cfg(feature = "obs")]
-macro_rules! obs_env {
-    ($env:expr, $($kind:tt)+) => {
-        if let Some(h) = $env.obs() {
-            let t = $env.now();
-            h.record(t, prophet_obs::EventKind::$($kind)+);
-        }
-    };
-}
-
-#[cfg(not(feature = "obs"))]
-macro_rules! obs_env {
-    ($env:expr, $($kind:tt)+) => {};
-}
-
 /// Record the begin or end of a labelled region span for the calling
 /// thread on the machine's recorder.
-#[cfg(feature = "obs")]
 pub(crate) fn obs_span(env: &mut dyn machsim::Env, begin: bool, label: &str) {
     if let Some(h) = env.obs() {
         let label = h.intern(label);

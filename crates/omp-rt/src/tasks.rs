@@ -186,7 +186,7 @@ impl ThreadBody for TaskWorker {
                     self.queue_op = QueueOp::None;
                     let n = self.pending_push.len();
                     for t in self.pending_push.drain(..) {
-                        obs_env!(env, TaskSpawn { worker: env.me().0 });
+                        env.record_event(prophet_obs::EventKind::TaskSpawn { worker: env.me().0 });
                         self.pool.queue.borrow_mut().push_back(t);
                     }
                     for _ in 0..n {
@@ -250,7 +250,9 @@ impl ThreadBody for TaskWorker {
                                 .borrow_mut()
                                 .take()
                                 .expect("taskwait resumed twice");
-                            obs_env!(env, TaskSync { worker: env.me().0 });
+                            env.record_event(prophet_obs::EventKind::TaskSync {
+                                worker: env.me().0,
+                            });
                             self.current = Some(resume);
                             let sync = self.pool.overheads.sync;
                             if sync > 0 {

@@ -254,7 +254,6 @@ impl ThreadBody for Worker {
                             let sec = sec.clone();
                             f.idx += 1;
                             let fork = self.rt.overheads.parallel_start;
-                            #[cfg(feature = "obs")]
                             crate::obs_span(env, true, "omp_parallel");
                             let frame = self.enter_region(env, &sec);
                             self.stack.push(Frame::Region(frame));
@@ -312,14 +311,11 @@ impl ThreadBody for Worker {
                         let chunk = f.ctl.dispenser.borrow_mut().next_chunk(f.rank);
                         match chunk {
                             Some((s, e)) => {
-                                obs_env!(
-                                    env,
-                                    ChunkDispatch {
-                                        worker: f.rank,
-                                        lo: s as u32,
-                                        hi: e as u32,
-                                    }
-                                );
+                                env.record_event(prophet_obs::EventKind::ChunkDispatch {
+                                    worker: f.rank,
+                                    lo: s as u32,
+                                    hi: e as u32,
+                                });
                                 f.chunk = Some((s, e));
                                 f.pos = s;
                                 f.phase = RPhase::IterOvh;
@@ -363,7 +359,6 @@ impl ThreadBody for Worker {
                         if !is_master {
                             return Action::Exit;
                         }
-                        #[cfg(feature = "obs")]
                         crate::obs_span(env, false, "omp_parallel");
                         self.stack.pop();
                         if join > 0 {

@@ -325,7 +325,50 @@ pub fn decode_tree(buf: &[u8], at: &mut usize) -> Result<ProgramTree, String> {
             children,
         });
     }
+    check_acyclic(&nodes)?;
     Ok(ProgramTree::from_nodes(nodes))
+}
+
+/// Reject a child graph that contains a cycle: every tree walk recurses
+/// through children, so a node reachable from itself would never end.
+/// Shared children (a DAG, as the compressor emits) are legal. An
+/// iterative three-colour DFS over every node, O(nodes + child entries).
+fn check_acyclic(nodes: &[Node]) -> Result<(), String> {
+    const WHITE: u8 = 0;
+    const GREY: u8 = 1;
+    const BLACK: u8 = 2;
+    let child = |n: usize, i: usize| match &nodes[n].children {
+        ChildList::Plain(v) => v.get(i).map(|&c| c as usize),
+        ChildList::Rle(runs) => runs.get(i).map(|r| r.node as usize),
+    };
+    let mut colour = vec![WHITE; nodes.len()];
+    // (node, index of its next child to visit)
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for start in 0..nodes.len() {
+        if colour[start] != WHITE {
+            continue;
+        }
+        colour[start] = GREY;
+        stack.push((start, 0));
+        while let Some(top) = stack.last_mut() {
+            let (n, i) = *top;
+            let Some(c) = child(n, i) else {
+                colour[n] = BLACK;
+                stack.pop();
+                continue;
+            };
+            top.1 += 1;
+            match colour[c] {
+                WHITE => {
+                    colour[c] = GREY;
+                    stack.push((c, 0));
+                }
+                GREY => return Err(format!("child {c} of node {n} closes a cycle")),
+                _ => {}
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -443,5 +486,68 @@ mod tests {
         put_u32(&mut buf, 7); // out of range
         let mut at = 0;
         assert!(decode_tree(&buf, &mut at).is_err());
+    }
+
+    fn decode_nodes(nodes: Vec<Node>) -> Result<ProgramTree, String> {
+        let mut buf = Vec::new();
+        encode_tree(&ProgramTree::from_nodes(nodes), &mut buf);
+        decode_tree(&buf, &mut 0)
+    }
+
+    fn task(name: &str, children: Vec<NodeId>) -> Node {
+        Node {
+            kind: NodeKind::Task { name: name.into() },
+            length: 10,
+            children: ChildList::Plain(children),
+        }
+    }
+
+    #[test]
+    fn root_listing_itself_is_rejected() {
+        let root = Node {
+            kind: NodeKind::Root,
+            length: 0,
+            children: ChildList::Plain(vec![0]),
+        };
+        let err = decode_nodes(vec![root]).unwrap_err();
+        assert!(err.contains("cycle"), "{err}");
+    }
+
+    #[test]
+    fn two_node_cycle_is_rejected() {
+        // Root → 1 → 2 → 1, the back edge hidden in an RLE child list.
+        let mut back = task("b", Vec::new());
+        back.children = ChildList::Rle(vec![Run {
+            node: 1,
+            count: 2,
+            total_length: 20,
+        }]);
+        let nodes = vec![
+            Node {
+                kind: NodeKind::Root,
+                length: 0,
+                children: ChildList::Plain(vec![1]),
+            },
+            task("a", vec![2]),
+            back,
+        ];
+        let err = decode_nodes(nodes).unwrap_err();
+        assert!(err.contains("cycle"), "{err}");
+    }
+
+    #[test]
+    fn shared_children_are_not_a_cycle() {
+        // Two parents share child 3, and one parent lists it twice.
+        let nodes = vec![
+            Node {
+                kind: NodeKind::Root,
+                length: 0,
+                children: ChildList::Plain(vec![1, 2]),
+            },
+            task("a", vec![3, 3]),
+            task("b", vec![3]),
+            Node::u(10),
+        ];
+        assert!(decode_nodes(nodes).is_ok());
     }
 }

@@ -158,8 +158,7 @@ pub struct ServeConfig {
     pub slo_ms: u64,
     /// Path of the structured JSONL access log (`None` = no log). One
     /// line per finished request: trace id, shard, per-stage
-    /// nanoseconds, status, cache disposition. Requires the `obs`
-    /// feature.
+    /// nanoseconds, status, cache disposition.
     pub access_log: Option<String>,
     /// How many finished traces the in-memory flight recorder keeps for
     /// `GET /v1/debug/trace/<id>`.
@@ -554,8 +553,8 @@ impl ShardedResultCache {
 #[derive(Clone)]
 struct Reply {
     responder: eloop::Responder,
-    rid: Option<String>,
-    trace_hex: Option<String>,
+    rid: String,
+    trace_hex: String,
     /// Cache disposition of the response that was actually sent, read
     /// back by the post-flush accounting for trace tags.
     cache_tag: Arc<Mutex<String>>,
@@ -563,12 +562,9 @@ struct Reply {
 
 impl Reply {
     fn decorate(&self, mut resp: Response) -> Response {
-        if let Some(rid) = &self.rid {
-            resp.extra_headers.push(("x-request-id", rid.clone()));
-        }
-        if let Some(hex) = &self.trace_hex {
-            resp.extra_headers.push(("x-prophet-trace", hex.clone()));
-        }
+        resp.extra_headers.push(("x-request-id", self.rid.clone()));
+        resp.extra_headers
+            .push(("x-prophet-trace", self.trace_hex.clone()));
         if let Some((_, v)) = resp.extra_headers.iter().find(|(k, _)| *k == "x-cache") {
             *self.cache_tag.lock().expect("cache tag poisoned") = v.clone();
         }
@@ -626,7 +622,7 @@ struct Shared {
     store_suffix: Option<String>,
     /// Persistent keep-alive connections to the other shards.
     upstreams: http::UpstreamPool,
-    /// Per-process tracing state (a no-op shell without `obs`).
+    /// Per-process tracing state.
     tracing: trace::Tracing,
 }
 
@@ -862,7 +858,7 @@ fn handle_request(
     let m = &shared.metrics;
     m.inflight.fetch_add(1, Ordering::Relaxed);
     // Reconstruct when the request's first byte arrived, for the parse
-    // span and the obs-off SLO fallback clock.
+    // span.
     let req_start = Instant::now()
         .checked_sub(Duration::from_nanos(meta.parse_nanos))
         .unwrap_or_else(Instant::now);
@@ -871,11 +867,10 @@ fn handle_request(
     m.observe_stage("parse", meta.parse_nanos);
     let is_predict = req.method == "POST" && req.path == "/v1/predict";
     // Echo the client's request id on every response, or synthesise one
-    // from the trace id when tracing is on.
+    // from the trace id.
     let rid = req
         .header("x-request-id")
-        .map(str::to_string)
-        .or_else(|| trace.trace_hex());
+        .map_or_else(|| trace.trace_hex(), str::to_string);
     let reply = Reply {
         responder: responder.clone(),
         rid: rid.clone(),
@@ -892,10 +887,11 @@ fn handle_request(
             trace.add_timed("flush", flush_start, flush_nanos, &[]);
             m.observe_stage("flush", flush_nanos);
             let cache = cache_tag.lock().expect("cache tag poisoned").clone();
-            let mut tags: Vec<(&str, String)> = vec![("path", path.clone()), ("cache", cache)];
-            if let Some(rid) = &rid {
-                tags.push(("request_id", rid.clone()));
-            }
+            let mut tags: Vec<(&str, String)> = vec![
+                ("path", path.clone()),
+                ("cache", cache),
+                ("request_id", rid.clone()),
+            ];
             if let Some((_, own)) = &shared.shard {
                 tags.push(("shard", own.clone()));
             }
@@ -904,13 +900,6 @@ fn handle_request(
                 if deadline_fired {
                     m.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
                 }
-                // Without `obs`, finish() reports 0; fall back to a
-                // direct measurement so SLO accounting still works.
-                let total = if total == 0 {
-                    u64::try_from(req_start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                } else {
-                    total
-                };
                 m.record_slo(status, total);
                 m.observe_request_nanos(total);
             }
@@ -1220,10 +1209,7 @@ fn forward_to_owner(
         .spawn(move || {
             let fwd = trace.begin_span("forward");
             let header = trace.propagation_header(&fwd);
-            let mut extra: Vec<(&str, &str)> = Vec::new();
-            if let Some(h) = &header {
-                extra.push(("x-prophet-trace", h));
-            }
+            let mut extra: Vec<(&str, &str)> = vec![("x-prophet-trace", &header)];
             if let Some(rid) = &rid {
                 extra.push(("x-request-id", rid));
             }

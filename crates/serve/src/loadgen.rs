@@ -541,9 +541,8 @@ fn merge_counter(acc: Option<u64>, next: Option<u64>) -> Option<u64> {
     }
 }
 
-/// Fetch `/v1/metrics` and pull the two cache-hit counters out of the JSON
-/// (both the obs-backed and the degraded non-obs body nest counters
-/// under a top-level `"counters"` object).
+/// Fetch `/v1/metrics` and pull the two cache-hit counters out of the
+/// JSON body's top-level `"counters"` object.
 fn read_cache_hit_counters(addr: &str) -> (Option<u64>, Option<u64>) {
     let Ok((200, _, body)) = client_request(addr, "GET", "/v1/metrics", None) else {
         return (None, None);

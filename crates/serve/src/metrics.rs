@@ -2,14 +2,12 @@
 //! demand by `/v1/metrics` as JSON or Prometheus text.
 //!
 //! Counters and gauges are plain atomics so admission and batching never
-//! contend on a metrics lock. Latency/batch-size histograms need the
-//! `prophet-obs` log₂ [`prophet_obs::Histogram`] and sit behind the
-//! `obs` feature (a short mutex hold per batch, off the admission path);
-//! without the feature the endpoint degrades to counters and gauges.
+//! contend on a metrics lock. Latency/batch-size histograms are
+//! `prophet-obs` log₂ [`prophet_obs::Histogram`]s behind a short mutex
+//! hold per batch, off the admission path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-#[cfg(feature = "obs")]
 use std::sync::Mutex;
 
 use store::StoreStats;
@@ -17,8 +15,7 @@ use sweep::CacheStats;
 
 use crate::eloop::ConnStats;
 
-/// Histograms published when the `obs` feature is on.
-#[cfg(feature = "obs")]
+/// Per-batch histograms.
 #[derive(Default)]
 struct Histos {
     /// Requests coalesced per engine batch.
@@ -29,11 +26,9 @@ struct Histos {
     batch_predict_nanos: prophet_obs::Histogram,
 }
 
-/// Wall-clock log-linear histograms (p50/p95/p99-grade resolution),
-/// published when the `obs` feature is on: end-to-end predict latency
-/// plus one histogram per lifecycle stage, fed by the same
-/// instrumentation points that emit trace spans.
-#[cfg(feature = "obs")]
+/// Wall-clock log-linear histograms (p50/p95/p99-grade resolution):
+/// end-to-end predict latency plus one histogram per lifecycle stage,
+/// fed by the same instrumentation points that emit trace spans.
 #[derive(Default)]
 struct WallStats {
     request_nanos: prophet_obs::WallHistogram,
@@ -108,9 +103,7 @@ pub struct ServerMetrics {
     /// Connection-level counters, shared with the event loop (which
     /// increments them; `/v1/metrics` only reads).
     pub conns: Arc<ConnStats>,
-    #[cfg(feature = "obs")]
     histos: Mutex<Histos>,
-    #[cfg(feature = "obs")]
     wall: Mutex<WallStats>,
 }
 
@@ -124,8 +117,7 @@ impl ServerMetrics {
     }
 
     /// Count one finished predict request against the SLO: good when it
-    /// answered 200 within the target, bad otherwise. Works without the
-    /// `obs` feature — SLO accounting needs only a clock and counters.
+    /// answered 200 within the target, bad otherwise.
     pub fn record_slo(&self, status: u16, total_nanos: u64) {
         // slo_ms == 0 disables the latency target; only errors burn.
         let within = self.slo_ms == 0 || total_nanos / 1_000_000 <= self.slo_ms;
@@ -136,22 +128,18 @@ impl ServerMetrics {
         }
     }
 
-    /// Record one request's end-to-end wall latency (obs builds only).
+    /// Record one request's end-to-end wall latency.
     pub fn observe_request_nanos(&self, nanos: u64) {
-        #[cfg(feature = "obs")]
         self.wall
             .lock()
             .expect("wall stats poisoned")
             .request_nanos
             .observe(nanos);
-        #[cfg(not(feature = "obs"))]
-        let _ = nanos;
     }
 
-    /// Record one lifecycle-stage duration (obs builds only). Stage
-    /// names must be static so the histogram set stays bounded.
+    /// Record one lifecycle-stage duration. Stage names must be static
+    /// so the histogram set stays bounded.
     pub fn observe_stage(&self, name: &'static str, nanos: u64) {
-        #[cfg(feature = "obs")]
         self.wall
             .lock()
             .expect("wall stats poisoned")
@@ -159,27 +147,19 @@ impl ServerMetrics {
             .entry(name)
             .or_default()
             .observe(nanos);
-        #[cfg(not(feature = "obs"))]
-        let _ = (name, nanos);
     }
+
     /// Record one batch: size plus queue-wait and predict latencies.
     pub fn record_batch(&self, size: usize, queue_waits: &[u64], predict_nanos: u64) {
         self.batches_total.fetch_add(1, Ordering::Relaxed);
         self.batched_requests
             .fetch_add(size as u64, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        {
-            let mut h = self.histos.lock().expect("metrics histos poisoned");
-            h.batch_size.observe(size as u64);
-            for &w in queue_waits {
-                h.queue_wait_nanos.observe(w);
-            }
-            h.batch_predict_nanos.observe(predict_nanos);
+        let mut h = self.histos.lock().expect("metrics histos poisoned");
+        h.batch_size.observe(size as u64);
+        for &w in queue_waits {
+            h.queue_wait_nanos.observe(w);
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (queue_waits, predict_nanos);
-        }
+        h.batch_predict_nanos.observe(predict_nanos);
     }
 
     fn counter_snapshot(&self) -> Vec<(&'static str, u64)> {
@@ -262,7 +242,6 @@ impl ServerMetrics {
 
     /// Fold serving + profile-cache + store + cluster counters into a
     /// fresh obs registry.
-    #[cfg(feature = "obs")]
     pub fn registry(
         &self,
         profile_cache: CacheStats,
@@ -298,7 +277,6 @@ impl ServerMetrics {
     /// The wall-clock histograms as `(name, json)` pairs, ordered and
     /// shape-compatible with the registry's log₂ histograms (so the
     /// router's bucket-wise merge treats them uniformly).
-    #[cfg(feature = "obs")]
     fn wall_histogram_values(&self) -> Vec<(String, serde::Value)> {
         let w = self.wall.lock().expect("wall stats poisoned");
         let mut out = vec![(
@@ -319,41 +297,16 @@ impl ServerMetrics {
         store: Option<StoreStats>,
         cluster: &[(&'static str, u64)],
     ) -> String {
-        #[cfg(feature = "obs")]
-        {
-            let mut value = self.registry(profile_cache, store, cluster).to_value();
-            if let serde::Value::Object(sections) = &mut value {
-                if let Some((_, serde::Value::Object(histos))) =
-                    sections.iter_mut().find(|(k, _)| k == "histograms")
-                {
-                    histos.extend(self.wall_histogram_values());
-                    histos.sort_by(|(a, _), (b, _)| a.cmp(b));
-                }
+        let mut value = self.registry(profile_cache, store, cluster).to_value();
+        if let serde::Value::Object(sections) = &mut value {
+            if let Some((_, serde::Value::Object(histos))) =
+                sections.iter_mut().find(|(k, _)| k == "histograms")
+            {
+                histos.extend(self.wall_histogram_values());
+                histos.sort_by(|(a, _), (b, _)| a.cmp(b));
             }
-            serde_json::to_string_pretty(&value).expect("serialise metrics")
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let counters: Vec<(String, serde::Value)> = self
-                .counter_snapshot()
-                .into_iter()
-                .chain(profile_cache_counters(profile_cache))
-                .chain(store_counters(store))
-                .chain(cluster.iter().copied())
-                .map(|(k, v)| (k.to_string(), serde::Value::U64(v)))
-                .collect();
-            let gauges: Vec<(String, serde::Value)> = self
-                .gauge_snapshot()
-                .into_iter()
-                .chain(store_gauges(store))
-                .map(|(k, v)| (k.to_string(), serde::Value::F64(v)))
-                .collect();
-            let obj = serde::Value::Object(vec![
-                ("counters".to_string(), serde::Value::Object(counters)),
-                ("gauges".to_string(), serde::Value::Object(gauges)),
-            ]);
-            serde_json::to_string_pretty(&obj).expect("serialise metrics")
-        }
+        serde_json::to_string_pretty(&value).expect("serialise metrics")
     }
 
     /// Prometheus text body for `/metrics?format=prom`.
@@ -363,36 +316,13 @@ impl ServerMetrics {
         store: Option<StoreStats>,
         cluster: &[(&'static str, u64)],
     ) -> String {
-        #[cfg(feature = "obs")]
-        {
-            let mut out =
-                prophet_obs::prometheus_text(&self.registry(profile_cache, store, cluster));
-            let w = self.wall.lock().expect("wall stats poisoned");
-            out.push_str(&w.request_nanos.prometheus_text("serve_request_nanos"));
-            for (name, h) in &w.stages {
-                out.push_str(&h.prometheus_text(&format!("serve_stage_{name}_nanos")));
-            }
-            out
+        let mut out = prophet_obs::prometheus_text(&self.registry(profile_cache, store, cluster));
+        let w = self.wall.lock().expect("wall stats poisoned");
+        out.push_str(&w.request_nanos.prometheus_text("serve_request_nanos"));
+        for (name, h) in &w.stages {
+            out.push_str(&h.prometheus_text(&format!("serve_stage_{name}_nanos")));
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let mut out = String::new();
-            for (name, v) in self
-                .counter_snapshot()
-                .into_iter()
-                .chain(profile_cache_counters(profile_cache))
-                .chain(store_counters(store))
-                .chain(cluster.iter().copied())
-            {
-                let n = name.replace('.', "_");
-                out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-            }
-            for (name, v) in self.gauge_snapshot().into_iter().chain(store_gauges(store)) {
-                let n = name.replace('.', "_");
-                out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-            }
-            out
-        }
+        out
     }
 }
 
@@ -442,4 +372,73 @@ fn store_gauges(stats: Option<StoreStats>) -> Vec<(&'static str, f64)> {
         ("store.dead_bytes", s.dead_bytes as f64),
         ("store.segments", s.segments as f64),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every name each snapshot function yields reaches both `/v1/metrics`
+    /// renderings, as do the wall-clock request and stage histograms.
+    #[test]
+    fn every_metric_name_reaches_json_and_prometheus() {
+        let m = ServerMetrics::new(5);
+        m.observe_request_nanos(1_000);
+        m.observe_stage("parse", 200);
+        m.record_batch(2, &[10, 20], 300);
+        let cache = CacheStats {
+            hits: 1,
+            misses: 2,
+            entries: 1,
+            evictions: 0,
+            store_hits: 1,
+            store_writes: 1,
+        };
+        let store = Some(StoreStats::default());
+        let cluster = [("cluster.migrated_keys_in", 3)];
+        let json = m.render_json(cache, store, &cluster);
+        let prom = m.render_prometheus(cache, store, &cluster);
+        let v: serde::Value = serde_json::from_str(&json).unwrap();
+
+        let counters: Vec<&str> = m
+            .counter_snapshot()
+            .into_iter()
+            .chain(profile_cache_counters(cache))
+            .chain(store_counters(store))
+            .chain(cluster)
+            .map(|(name, _)| name)
+            .collect();
+        let gauges: Vec<&str> = m
+            .gauge_snapshot()
+            .into_iter()
+            .chain(store_gauges(store))
+            .map(|(name, _)| name)
+            .collect();
+        assert!(!store_counters(store).is_empty() && !store_gauges(store).is_empty());
+        for (section, names, kind) in [
+            ("counters", &counters, "counter"),
+            ("gauges", &gauges, "gauge"),
+        ] {
+            for name in names {
+                assert!(
+                    v.get(section).and_then(|s| s.get(name)).is_some(),
+                    "JSON {section} missing {name}"
+                );
+                let line = format!("# TYPE {} {kind}\n", name.replace('.', "_"));
+                assert!(prom.contains(&line), "Prometheus text missing {line:?}");
+            }
+        }
+        for (name, prom_name) in [
+            ("serve.request_nanos", "serve_request_nanos"),
+            ("serve.stage.parse_nanos", "serve_stage_parse_nanos"),
+            ("serve.batch_size", "serve_batch_size"),
+        ] {
+            assert!(
+                v.get("histograms").and_then(|h| h.get(name)).is_some(),
+                "JSON histograms missing {name}"
+            );
+            let line = format!("# TYPE {prom_name} histogram\n");
+            assert!(prom.contains(&line), "Prometheus text missing {line:?}");
+        }
+    }
 }

@@ -26,9 +26,7 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-#[cfg(feature = "obs")]
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use prophet_core::ProphetError;
@@ -74,25 +72,20 @@ struct RouterShared {
     conns: Arc<eloop::ConnStats>,
     /// Persistent keep-alive connections to the shards.
     upstreams: http::UpstreamPool,
-    /// Per-process tracing state (a no-op shell without `obs`).
+    /// Per-process tracing state.
     tracing: trace::Tracing,
     /// The router's own end-to-end predict latency, merged into
     /// `/v1/metrics` as `router.request_nanos`.
-    #[cfg(feature = "obs")]
     request_nanos: Mutex<prophet_obs::WallHistogram>,
 }
 
 impl RouterShared {
-    #[cfg(feature = "obs")]
     fn observe_request(&self, nanos: u64) {
         self.request_nanos
             .lock()
             .expect("router histogram poisoned")
             .observe(nanos);
     }
-
-    #[cfg(not(feature = "obs"))]
-    fn observe_request(&self, _nanos: u64) {}
 }
 
 /// A running router: its bound address plus the event loop to join on
@@ -122,7 +115,6 @@ impl Router {
             conns: Arc::new(eloop::ConnStats::default()),
             upstreams: http::UpstreamPool::new(4),
             tracing,
-            #[cfg(feature = "obs")]
             request_nanos: Mutex::new(prophet_obs::WallHistogram::new()),
         });
         let handler: eloop::Handler = {
@@ -190,8 +182,7 @@ fn handle_request(shared: &Arc<RouterShared>, req: Request, meta: ReqMeta, respo
     // synthesised from the trace id.
     let rid = req
         .header("x-request-id")
-        .map(str::to_string)
-        .or_else(|| trace.trace_hex());
+        .map_or_else(|| trace.trace_hex(), str::to_string);
     {
         let shared = Arc::clone(shared);
         let trace = trace.clone();
@@ -199,29 +190,18 @@ fn handle_request(shared: &Arc<RouterShared>, req: Request, meta: ReqMeta, respo
         let rid = rid.clone();
         responder.set_on_written(move |status, flush_start, flush_nanos, _deadline_fired| {
             trace.add_timed("flush", flush_start, flush_nanos, &[]);
-            let mut tags: Vec<(&str, String)> = vec![("path", path.clone())];
-            if let Some(rid) = &rid {
-                tags.push(("request_id", rid.clone()));
-            }
+            let tags = [("path", path.clone()), ("request_id", rid.clone())];
             let total = trace.finish(&shared.tracing, status, &tags);
             if is_predict {
-                let total = if total == 0 {
-                    u64::try_from(req_start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                } else {
-                    total
-                };
                 shared.observe_request(total);
             }
         });
     }
     let trace_hex = trace.trace_hex();
     let send = move |mut resp: Response| {
-        if let Some(rid) = &rid {
-            resp.extra_headers.push(("x-request-id", rid.clone()));
-        }
-        if let Some(hex) = &trace_hex {
-            resp.extra_headers.push(("x-prophet-trace", hex.clone()));
-        }
+        resp.extra_headers.push(("x-request-id", rid.clone()));
+        resp.extra_headers
+            .push(("x-prophet-trace", trace_hex.clone()));
         responder.send(resp);
     };
 
@@ -348,10 +328,7 @@ fn forward_predict(req: &Request, shared: &Arc<RouterShared>, trace: &trace::Req
     // over the wire in `x-prophet-trace`.
     let fwd = trace.begin_span("forward");
     let header = trace.propagation_header(&fwd);
-    let mut extra: Vec<(&str, &str)> = Vec::new();
-    if let Some(h) = &header {
-        extra.push(("x-prophet-trace", h));
-    }
+    let mut extra: Vec<(&str, &str)> = vec![("x-prophet-trace", &header)];
     if let Some(rid) = req.header("x-request-id") {
         extra.push(("x-request-id", rid));
     }
@@ -540,14 +517,13 @@ fn aggregate_healthz(shared: &Arc<RouterShared>) -> Response {
 
 /// Fetch every shard's JSON metrics and merge: counters and gauges are
 /// summed across shards (a gauge sum is the fleet total — queue depth,
-/// inflight — which is the useful aggregate). With `obs`, histograms
-/// are merged too — the rendered JSON carries each bucket's lower
+/// inflight — which is the useful aggregate). Histograms are merged
+/// too — the rendered JSON carries each bucket's lower
 /// bound and count, and equal bucket layouts add bucket-wise, so the
 /// merged percentiles are exactly those of the pooled observations.
 fn merge_metrics(req: &Request, shared: &Arc<RouterShared>) -> Response {
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut gauges: Vec<(String, f64)> = Vec::new();
-    #[cfg(feature = "obs")]
     let mut hists: Vec<(String, prophet_obs::HistSnapshot)> = Vec::new();
     let mut shard_list = Vec::new();
     let mut reached = 0usize;
@@ -559,7 +535,6 @@ fn merge_metrics(req: &Request, shared: &Arc<RouterShared>) -> Response {
                         v.as_f64().map(|f| f as u64)
                     });
                     merge_section(&value, "gauges", &mut gauges, serde::Value::as_f64);
-                    #[cfg(feature = "obs")]
                     merge_histograms(&value, &mut hists);
                     reached += 1;
                     true
@@ -616,24 +591,21 @@ fn merge_metrics(req: &Request, shared: &Arc<RouterShared>) -> Response {
             ),
         ),
     ];
-    #[cfg(feature = "obs")]
-    {
-        let own = shared
-            .request_nanos
-            .lock()
-            .expect("router histogram poisoned")
-            .to_value();
-        if let Some(snap) = prophet_obs::HistSnapshot::from_value(&own) {
-            if snap.count > 0 {
-                hists.push(("router.request_nanos".to_string(), snap));
-            }
+    let own = shared
+        .request_nanos
+        .lock()
+        .expect("router histogram poisoned")
+        .to_value();
+    if let Some(snap) = prophet_obs::HistSnapshot::from_value(&own) {
+        if snap.count > 0 {
+            hists.push(("router.request_nanos".to_string(), snap));
         }
-        hists.sort_by(|a, b| a.0.cmp(&b.0));
-        fields.push((
-            "histograms".to_string(),
-            serde::Value::Object(hists.into_iter().map(|(k, h)| (k, h.to_value())).collect()),
-        ));
     }
+    hists.sort_by(|a, b| a.0.cmp(&b.0));
+    fields.push((
+        "histograms".to_string(),
+        serde::Value::Object(hists.into_iter().map(|(k, h)| (k, h.to_value())).collect()),
+    ));
     fields.push(("shards".to_string(), serde::Value::Array(shard_list)));
     let obj = serde::Value::Object(fields);
     let _ = req; // format=prom is not offered on the merged endpoint
@@ -644,7 +616,6 @@ fn merge_metrics(req: &Request, shared: &Arc<RouterShared>) -> Response {
 }
 
 /// Add every histogram of `value["histograms"]` into `acc` bucket-wise.
-#[cfg(feature = "obs")]
 fn merge_histograms(value: &serde::Value, acc: &mut Vec<(String, prophet_obs::HistSnapshot)>) {
     let Some(serde::Value::Object(fields)) = value.get("histograms") else {
         return;

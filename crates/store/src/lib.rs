@@ -1473,7 +1473,6 @@ impl ProfileStore {
 
     /// Export the current counters into an observability registry under
     /// `store.*` names.
-    #[cfg(feature = "obs")]
     pub fn export_metrics(&self, registry: &mut prophet_obs::MetricsRegistry) {
         let s = self.stats();
         registry.set_gauge("store.hits", s.hits as f64);
@@ -2168,6 +2167,29 @@ mod tests {
         assert!(!dst.contains("junk"));
         let _ = fs::remove_dir_all(&src_dir);
         let _ = fs::remove_dir_all(&dst_dir);
+    }
+
+    #[test]
+    fn put_raw_rejects_a_cyclic_tree() {
+        use prophet_core::proftree::{ChildList, NodeKind};
+        let dir = tmpdir("cyclic");
+        let store = ProfileStore::builder(&dir).open().unwrap();
+        // A section that lists itself as its own child: decoding must
+        // fail before the record is persisted, or every later predict
+        // on the key would recurse without end.
+        let mut profiled = sample_profiled("cyclic");
+        let sec = profiled
+            .tree
+            .ids()
+            .find(|&id| matches!(profiled.tree.node(id).kind, NodeKind::Sec { .. }))
+            .expect("sample has a section");
+        profiled.tree.node_mut(sec).children = ChildList::Plain(vec![sec]);
+        let mut payload = Vec::new();
+        prophet_core::codec::encode_profiled(&profiled, &mut payload);
+        let err = store.put_raw("wl:cyclic", &payload).unwrap_err();
+        assert!(err.to_string().contains("cycle"), "{err}");
+        assert!(!store.contains("wl:cyclic"));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

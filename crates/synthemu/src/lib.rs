@@ -403,7 +403,6 @@ fn run_section<'t, V: TreeView<'t>>(
     // as total/threads — imperfect under imbalance, as the paper notes).
     let est = overhead_emitted / opts.threads.max(1) as u64;
     let net = gross.saturating_sub(est).max(1);
-    #[cfg(feature = "obs")]
     if let Some(h) = machine.obs_handle() {
         h.record(
             gross,
@@ -462,7 +461,6 @@ fn predict_on<'t, V: TreeView<'t>>(
 /// plus the synthesizer's overhead-subtraction corrections on `obs`.
 /// The measurement machine's virtual clock restarts at 0 for every
 /// top-level section, so timestamps are section-local.
-#[cfg(feature = "obs")]
 pub fn predict_with_obs(
     tree: &ProgramTree,
     opts: &SynthOptions,

@@ -135,10 +135,8 @@ pub struct Tracer {
     /// Pending top-level section nodes awaiting counter attachment.
     pending_mem: Vec<(NodeId, MemProfile)>,
     /// Structured event recorder (virtual-time annotation spans).
-    #[cfg(feature = "obs")]
     obs: Option<prophet_obs::ObsHandle>,
     /// Open annotation span labels, innermost last (obs span matching).
-    #[cfg(feature = "obs")]
     span_labels: Vec<u32>,
 }
 
@@ -154,9 +152,7 @@ impl Tracer {
             open_top_section: None,
             section_depth: 0,
             pending_mem: Vec::new(),
-            #[cfg(feature = "obs")]
             obs: None,
-            #[cfg(feature = "obs")]
             span_labels: Vec::new(),
             opts,
         }
@@ -165,7 +161,6 @@ impl Tracer {
     /// Attach a `prophet-obs` recorder: every annotation pair becomes a
     /// span at the tracer's net virtual time, and `finish` records the
     /// total profiling overhead as an `overhead_subtract` event.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, obs: prophet_obs::ObsHandle) {
         self.obs = Some(obs);
     }
@@ -173,7 +168,6 @@ impl Tracer {
     /// Record an annotation span boundary. On `begin`, `label` is
     /// interned and pushed; on end the innermost label is popped so the
     /// span end matches its begin even without the original name.
-    #[cfg(feature = "obs")]
     fn obs_span(&mut self, begin: bool, kind: prophet_obs::SpanKind, label: Option<&str>) {
         let Some(h) = self.obs.as_ref() else { return };
         let label = if begin {
@@ -246,7 +240,6 @@ impl Tracer {
         let delta = self.mark();
         self.builder.add_compute(delta)?;
         self.builder.begin_sec(name)?;
-        #[cfg(feature = "obs")]
         self.obs_span(true, prophet_obs::SpanKind::AnnotationSec, Some(name));
         if self.section_depth == 0 {
             // Start hardware counters for the top-level section.
@@ -267,7 +260,6 @@ impl Tracer {
         let delta = self.mark();
         self.builder.add_compute(delta)?;
         let sec_node = self.builder.end_sec(nowait)?;
-        #[cfg(feature = "obs")]
         self.obs_span(false, prophet_obs::SpanKind::AnnotationSec, None);
         self.section_depth -= 1;
         if self.section_depth == 0 {
@@ -299,7 +291,6 @@ impl Tracer {
         let delta = self.mark();
         self.builder.add_compute(delta)?;
         self.builder.begin_task(name)?;
-        #[cfg(feature = "obs")]
         self.obs_span(true, prophet_obs::SpanKind::AnnotationTask, Some(name));
         Ok(())
     }
@@ -314,7 +305,6 @@ impl Tracer {
         let delta = self.mark();
         self.builder.add_compute(delta)?;
         self.builder.end_task()?;
-        #[cfg(feature = "obs")]
         self.obs_span(false, prophet_obs::SpanKind::AnnotationTask, None);
         Ok(())
     }
@@ -331,7 +321,6 @@ impl Tracer {
         let delta = self.mark();
         self.builder.add_compute(delta)?;
         self.builder.begin_pipe(name)?;
-        #[cfg(feature = "obs")]
         self.obs_span(true, prophet_obs::SpanKind::AnnotationSec, Some(name));
         if self.section_depth == 0 {
             self.overhead_cycles += self.opts.counter_read_overhead;
@@ -351,7 +340,6 @@ impl Tracer {
         let delta = self.mark();
         self.builder.add_compute(delta)?;
         let node = self.builder.end_pipe()?;
-        #[cfg(feature = "obs")]
         self.obs_span(false, prophet_obs::SpanKind::AnnotationSec, None);
         self.section_depth -= 1;
         if self.section_depth == 0 {
@@ -407,7 +395,6 @@ impl Tracer {
         let delta = self.mark();
         self.builder.add_compute(delta)?;
         self.builder.begin_lock(lock)?;
-        #[cfg(feature = "obs")]
         self.obs_span(
             true,
             prophet_obs::SpanKind::AnnotationLock,
@@ -426,7 +413,6 @@ impl Tracer {
         let delta = self.mark();
         self.builder.add_compute(delta)?;
         self.builder.end_lock(lock)?;
-        #[cfg(feature = "obs")]
         self.obs_span(false, prophet_obs::SpanKind::AnnotationLock, None);
         Ok(())
     }
@@ -436,7 +422,6 @@ impl Tracer {
         let now = self.mem.cycles();
         let tail = now - self.last_mark;
         self.builder.add_compute(tail)?;
-        #[cfg(feature = "obs")]
         if let Some(h) = self.obs.as_ref() {
             h.record(
                 now,
@@ -479,7 +464,6 @@ pub fn profile(program: &dyn AnnotatedProgram, opts: ProfileOptions) -> ProfileR
 /// [`profile`] with a `prophet-obs` recorder attached: annotation pairs
 /// become spans on the serial virtual clock and the accumulated tracer
 /// overhead is recorded at the end of the run.
-#[cfg(feature = "obs")]
 pub fn profile_with_obs(
     program: &dyn AnnotatedProgram,
     opts: ProfileOptions,

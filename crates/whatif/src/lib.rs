@@ -151,15 +151,6 @@ impl WhatifCounters {
     }
 }
 
-/// Publish what-if counters into a metrics registry under the
-/// `whatif.*` names.
-#[cfg(feature = "obs")]
-pub fn publish_counters(c: &WhatifCounters, reg: &mut prophet_obs::MetricsRegistry) {
-    reg.inc("whatif.regions_analyzed", c.regions_analyzed);
-    reg.inc("whatif.emulations_run", c.emulations_run);
-    reg.inc("whatif.pareto_pruned", c.pareto_pruned);
-}
-
 /// A distinct top-level parallel region (static identity: one entry per
 /// representative node, aggregating all its dynamic instances).
 #[derive(Debug, Clone)]

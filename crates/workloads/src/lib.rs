@@ -45,9 +45,7 @@ pub mod vmem;
 pub use dag_wl::TaskDag;
 pub use numaskew::NumaSkew;
 pub use pipeline_wl::{PipelineParams, PipelineWl};
-#[cfg(feature = "obs")]
-pub use real::run_real_with_obs;
-pub use real::{real_program, run_real, run_real_on, RealOptions, RealResult};
+pub use real::{real_program, run_real, run_real_on, run_real_with_obs, RealOptions, RealResult};
 pub use spec::{BenchSpec, Benchmark};
 pub use test1::{Test1, Test1Params};
 pub use test2::{Test2, Test2Params};

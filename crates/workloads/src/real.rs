@@ -230,7 +230,6 @@ pub fn run_real(tree: &ProgramTree, opts: &RealOptions) -> Result<RealResult, Ru
 /// [`run_real`] with a `prophet-obs` recorder attached to the machine:
 /// every scheduler, lock, barrier, chunk and steal event of the run is
 /// recorded on the machine's virtual clock.
-#[cfg(feature = "obs")]
 pub fn run_real_with_obs(
     tree: &ProgramTree,
     opts: &RealOptions,
