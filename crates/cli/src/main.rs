@@ -1046,7 +1046,7 @@ fn main() {
             let workers = cfg.workers;
             let handle = serve::Server::start(cfg, resolver)
                 .unwrap_or_else(|e| die(&format!("cannot start on {}: {e}", args.addr)));
-            let shutdown = serve::signal::install_handlers();
+            serve::signal::install_handlers();
             let store_note = match (&args.store_dir, handle.store()) {
                 (Some(dir), Some(s)) => format!(", store {dir} ({} profiles)", s.len()),
                 _ => String::new(),
@@ -1064,9 +1064,7 @@ fn main() {
                 args.queue_cap.max(1),
                 args.cache_cap,
             );
-            while !shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
+            serve::signal::wait_for_shutdown();
             eprintln!("signal received, draining in-flight requests…");
             handle.shutdown();
             eprintln!("prophet-serve: shutdown complete");
@@ -1133,15 +1131,13 @@ fn main() {
             let resolver: serve::Resolver = std::sync::Arc::new(try_parse_sweep_workloads);
             let handle = serve::router::Router::start(cfg, resolver)
                 .unwrap_or_else(|e| die(&format!("cannot start router: {e}")));
-            let shutdown = serve::signal::install_handlers();
+            serve::signal::install_handlers();
             eprintln!(
                 "prophet-route listening on {} fronting {} shard(s); SIGTERM/ctrl-c stops",
                 handle.local_addr(),
                 args.shards.len(),
             );
-            while !shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
+            serve::signal::wait_for_shutdown();
             eprintln!("signal received, stopping router…");
             handle.shutdown();
             eprintln!("prophet-route: shutdown complete");

@@ -478,8 +478,8 @@ pub fn migrate_response(
 
 /// Ingest mode: append each carried record (skipping keys already
 /// held — replication retries and overlapping migrations are
-/// idempotent). A record that fails to decode poisons nothing: it is
-/// skipped and the batch keeps going.
+/// idempotent), then sync once before answering. A record that fails to
+/// decode poisons nothing: it is skipped and the batch keeps going.
 fn ingest(
     own_addr: &str,
     store: &Arc<ProfileStore>,
@@ -506,6 +506,7 @@ fn ingest(
             }
         }
     }
+    crate::sync_store(store);
     cluster
         .counters
         .migrated_keys_in
@@ -689,6 +690,67 @@ mod tests {
         let resp = migrate_response("a:1", Some(&store), &cluster, empty.as_bytes());
         assert_eq!(resp.status, 422);
         assert!(!cluster.migrating.load(Ordering::SeqCst));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An ingest of k records appends all of them and fsyncs once,
+    /// before its 200.
+    #[test]
+    fn ingest_syncs_once_per_request() {
+        struct Tiny;
+        impl prophet_core::tracer::AnnotatedProgram for Tiny {
+            fn name(&self) -> &str {
+                "tiny"
+            }
+            fn run(&self, t: &mut prophet_core::tracer::Tracer) {
+                t.par_sec_begin("s");
+                t.par_task_begin("t");
+                t.work(5_000);
+                t.par_task_end();
+                t.par_sec_end(false);
+            }
+        }
+        let prophet = prophet_core::Prophet::builder()
+            .calibration(prophet_core::memmodel::calibrate(
+                prophet_core::machsim::MachineConfig::westmere_scaled(),
+                &prophet_core::memmodel::CalibrationOptions {
+                    thread_counts: vec![2],
+                    intensity_steps: 3,
+                    packet_cycles: 100_000,
+                },
+            ))
+            .build();
+        let mut payload = Vec::new();
+        prophet_core::codec::encode_profiled(&prophet.profile(&Tiny), &mut payload);
+        let records: Vec<MigrateRecord> = (0..3)
+            .map(|i| MigrateRecord {
+                key: format!("tiny:{i}"),
+                payload_hex: api::hex_encode(&payload),
+            })
+            .collect();
+        let body = serde_json::to_string(&ClusterMigrateRequest {
+            records: Some(records),
+            ..ClusterMigrateRequest::default()
+        })
+        .unwrap();
+
+        let dir =
+            std::env::temp_dir().join(format!("prophet-cluster-ingest-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = Arc::new(ProfileStore::builder(&dir).open().expect("store opens"));
+        let cluster = ClusterState::create(None, 1, Some(&store));
+        let resp = migrate_response("a:1", Some(&store), &cluster, body.as_bytes());
+        assert_eq!(resp.status, 200);
+        let s = store.stats();
+        assert_eq!(
+            (s.writes, s.syncs),
+            (3, 1),
+            "one fsync for the whole ingest"
+        );
+        // A retry appends nothing, so it costs no fsync either.
+        let resp = migrate_response("a:1", Some(&store), &cluster, body.as_bytes());
+        assert_eq!(resp.status, 200);
+        assert_eq!(store.stats().syncs, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

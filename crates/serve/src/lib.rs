@@ -1445,12 +1445,24 @@ fn job_worker_loop(shared: &Arc<Shared>) {
         let evicted = shared.results.insert(&format!("job:{id}"), Arc::from(body));
         m.result_cache_evictions
             .fetch_add(evicted, Ordering::Relaxed);
+        if let Some(store) = &shared.store {
+            sync_store(store);
+        }
         shared.jobs.complete(&id);
         m.jobs_completed.fetch_add(1, Ordering::Relaxed);
         m.observe_stage(
             "whatif_job",
             u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         );
+    }
+}
+
+/// Make every profile appended so far durable before a reply that
+/// follows the writes. A failed sync warns like a failed save and the
+/// reply still goes out: stored profiles are a cache.
+pub(crate) fn sync_store(store: &ProfileStore) {
+    if let Err(e) = store.sync() {
+        eprintln!("prophet-store: warning: sync failed ({e}); profiles not persisted");
     }
 }
 
@@ -1546,6 +1558,11 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<Pending>, t_pick: Instant) {
     let io_before = shared.store.as_ref().map_or((0, 0), |s| s.io_nanos());
     let t0 = Instant::now();
     let (bodies, serialize_nanos) = evaluate_requests_timed(&shared.engine, &reqs);
+    // One durability barrier for every profile this batch stored, before
+    // any reply; its time lands in the `store_write` sub-stage.
+    if let Some(store) = &shared.store {
+        sync_store(store);
+    }
     let predict_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let stage_delta = shared.engine.stage_timings().since(&stages_before);
     let io_after = shared.store.as_ref().map_or((0, 0), |s| s.io_nanos());

@@ -356,6 +356,7 @@ fn store_counters(stats: Option<StoreStats>) -> Vec<(&'static str, u64)> {
         ("store.decode_misses", s.decode_misses),
         ("store.compactions", s.compactions),
         ("store.reclaimed_bytes", s.reclaimed_bytes),
+        ("store.syncs", s.syncs),
     ]
 }
 

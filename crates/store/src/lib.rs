@@ -60,9 +60,27 @@
 //! is scanned front to back; the scan stops at the first truncated or
 //! CRC-corrupt record, logs a warning, and truncates the log back to
 //! the last valid boundary (classic write-ahead-log recovery: a crash
-//! mid-append costs at most the record being appended). The manifest is
-//! rewritten via write-to-temp-then-rename after every append, so it
-//! never names bytes that aren't durably framed.
+//! mid-append costs at most the record being appended).
+//!
+//! ## Durability: one barrier per batch
+//!
+//! [`ProfileStore::put`] and [`ProfileStore::put_raw`] append and index
+//! a record, and reads see it at once, but neither fsyncs.
+//! [`ProfileStore::sync`] is the durability barrier: it fsyncs the
+//! active log once, and only if something was appended since the last
+//! sync. A caller that answers after writing — the serve daemon's batch
+//! worker, its what-if job worker, and migrate/replicate ingest — calls
+//! it once before its first reply, so a stored batch costs one fsync
+//! rather than one per record.
+//!
+//! The manifest is rewritten (write-to-temp, fsync, rename, fsync the
+//! directory) only when the segment list changes — at open, seal and
+//! compaction — and by [`ProfileStore::flush`] at shutdown. Open reads
+//! only its `seq` and `segments`; the active log is always recovered by
+//! scanning, so appends need no manifest update. A seal fsyncs the log
+//! before the manifest names it as a segment. The `records` and
+//! `committed_len` fields record the state at the last manifest write;
+//! they stay in the JSON because older binaries require them.
 //!
 //! ## Version 1 logs
 //!
@@ -88,6 +106,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use prophet_core::{Profiled, ProphetError};
 use serde::{Deserialize, Serialize};
@@ -120,6 +139,24 @@ fn parse_segment_file_name(name: &str) -> Option<u64> {
         return None;
     }
     digits.parse().ok()
+}
+
+/// Add the nanoseconds since `t0` to a cumulative timer.
+fn add_elapsed(counter: &AtomicU64, t0: Instant) {
+    counter.fetch_add(
+        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        Ordering::Relaxed,
+    );
+}
+
+/// fsync a store directory so the renames and file creations inside it
+/// are durable. A no-op off unix, where directories cannot be opened.
+fn sync_dir(dir: &std::path::Path) -> Result<(), ProphetError> {
+    #[cfg(unix)]
+    fs::File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
 }
 
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), bit-reflected,
@@ -363,6 +400,9 @@ pub struct StoreStats {
     pub compactions: u64,
     /// Bytes reclaimed by compaction since open.
     pub reclaimed_bytes: u64,
+    /// fsyncs of the active log since open: one per [`ProfileStore::sync`]
+    /// that found unsynced appends, plus one per seal of such a log.
+    pub syncs: u64,
 }
 
 /// One live key as enumerated by [`ProfileStore::keys`].
@@ -438,7 +478,11 @@ struct ManifestSegment {
 
 /// The manifest file's JSON shape. `seq` and `segments` are `Option`
 /// so a v2-era manifest (single log, no segment list) still
-/// deserializes; absent means "no sealed segments yet".
+/// deserializes; absent means "no sealed segments yet". Open reads only
+/// those two; `records` and `committed_len` describe the store at the
+/// last manifest write and are kept because older binaries cannot parse
+/// a manifest without them (and would then delete every segment as an
+/// orphan).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Manifest {
     version: u32,
@@ -576,6 +620,8 @@ struct StoreInner {
     sealed: Vec<SegmentState>,
     /// The active append log (`profiles.v2.log`).
     active: SegmentState,
+    /// Records were appended to the active log since its last fsync.
+    unsynced: bool,
     /// Sequence number the next sealed segment will take.
     next_seq: u64,
     index: HashMap<String, IndexEntry>,
@@ -620,7 +666,8 @@ pub struct ProfileStore {
     decode_misses: AtomicU64,
     compactions: AtomicU64,
     reclaimed_bytes: AtomicU64,
-    /// Wall-clock nanoseconds spent inside `get` / `put`, cumulative.
+    syncs: AtomicU64,
+    /// Wall-clock nanoseconds spent inside `get` / `put` / `sync`, cumulative.
     /// Request tracing reads deltas around a batch to synthesise
     /// store-read/store-write spans without plumbing timers through the
     /// sweep engine.
@@ -739,6 +786,7 @@ impl ProfileStore {
                     valid_len,
                     records: active_records,
                 },
+                unsynced: false,
                 next_seq,
                 index,
                 decoded: HashMap::new(),
@@ -753,11 +801,12 @@ impl ProfileStore {
             decode_misses: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             reclaimed_bytes: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
             read_nanos: AtomicU64::new(0),
             write_nanos: AtomicU64::new(0),
         };
-        // Re-committing the manifest on open heals a crash that landed
-        // between an append and its manifest rename.
+        // Committing the manifest on open records the healed layout:
+        // adopted or deleted leftovers, and the trimmed active log.
         {
             let inner = store.inner.lock().expect("store lock poisoned");
             Self::commit_manifest_locked(&store.dir, &inner)?;
@@ -873,9 +922,8 @@ impl ProfileStore {
     }
 
     /// Atomically rewrite the manifest to describe the current state:
-    /// sealed segment list, active-log committed length, and the next
-    /// segment sequence number. Write-to-temp-then-rename, so the
-    /// manifest never names bytes that aren't durably framed.
+    /// sealed segment list, active-log length, and the next segment
+    /// sequence number.
     fn commit_manifest_locked(
         dir: &std::path::Path,
         inner: &StoreInner,
@@ -900,7 +948,9 @@ impl ProfileStore {
         Self::write_manifest(dir, &manifest)
     }
 
-    /// Serialise `manifest` and swap it in by atomic rename.
+    /// Serialise `manifest`, swap it in by atomic rename, and fsync the
+    /// directory so the rename (and any segment file created or renamed
+    /// before it) survives a crash.
     fn write_manifest(dir: &std::path::Path, manifest: &Manifest) -> Result<(), ProphetError> {
         let json = serde_json::to_string(manifest)
             .map_err(|e| ProphetError::Store(format!("manifest encode: {e}")))?;
@@ -909,22 +959,37 @@ impl ProfileStore {
         f.write_all(json.as_bytes())?;
         f.sync_all()?;
         fs::rename(&tmp, dir.join(MANIFEST_NAME))?;
+        sync_dir(dir)
+    }
+
+    /// fsync the active log if records were appended since its last
+    /// fsync.
+    fn sync_active_locked(&self, inner: &mut StoreInner) -> Result<(), ProphetError> {
+        if !inner.unsynced {
+            return Ok(());
+        }
+        inner.active.file.sync_all()?;
+        inner.unsynced = false;
+        self.syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Seal the active log into a numbered immutable segment and start
-    /// a fresh one. Crash-ordered: (1) commit a manifest naming the
-    /// segment-to-be, (2) rename the active log to that segment name,
-    /// (3) create the fresh active log. A crash between (1) and (2)
-    /// leaves the manifest naming a segment that does not exist — the
-    /// next open skips it with a warning and still scans every record
-    /// out of the active log; between (2) and (3) the next open just
-    /// creates a fresh active log. Either way no record is lost. No-op
-    /// when the active log is empty.
-    fn seal_locked(dir: &std::path::Path, inner: &mut StoreInner) -> Result<(), ProphetError> {
+    /// a fresh one. Crash-ordered: (0) fsync the active log, (1) commit
+    /// a manifest naming the segment-to-be, (2) rename the active log to
+    /// that segment name, (3) create the fresh active log and fsync the
+    /// directory. A crash between (1) and (2) leaves the manifest naming
+    /// a segment that does not exist — the next open skips it with a
+    /// warning and still scans every record out of the active log;
+    /// between (2) and (3) the next open just creates a fresh active
+    /// log. Either way no record is lost. No-op when the active log is
+    /// empty.
+    fn seal_locked(&self, inner: &mut StoreInner) -> Result<(), ProphetError> {
         if inner.active.valid_len == 0 {
             return Ok(());
         }
+        self.sync_active_locked(inner)?;
+        let dir = self.dir.as_path();
         let seq = inner.next_seq;
         let name = segment_file_name(seq);
         let mut segments: Vec<ManifestSegment> = inner
@@ -958,6 +1023,7 @@ impl ProfileStore {
             .create(true)
             .truncate(false)
             .open(dir.join(LOG_NAME))?;
+        sync_dir(dir)?;
 
         inner.next_seq = seq + 1;
         let mut sealed = std::mem::replace(
@@ -991,7 +1057,7 @@ impl ProfileStore {
     /// size. No-op on an empty active log.
     pub fn seal(&self) -> Result<(), ProphetError> {
         let mut inner = self.inner.lock().expect("store lock poisoned");
-        Self::seal_locked(&self.dir, &mut inner)
+        self.seal_locked(&mut inner)
     }
 
     /// The profile stored under `key`, if any. Decodes through a small
@@ -999,12 +1065,9 @@ impl ProfileStore {
     /// cache misses decode zero-copy out of the mapped log prefix when
     /// the record predates open.
     pub fn get(&self, key: &str) -> Result<Option<Profiled>, ProphetError> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let out = self.get_inner(key);
-        self.read_nanos.fetch_add(
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+        add_elapsed(&self.read_nanos, t0);
         out
     }
 
@@ -1077,17 +1140,17 @@ impl ProfileStore {
         Ok(Some((*profiled).clone()))
     }
 
-    /// Persist `profiled` under `key`. Keys are content-fingerprinted by
-    /// the caller ([`KeyedStore`]), so an existing key already holds this
-    /// exact profile and the append is skipped — first write wins and
-    /// the log never accumulates duplicates.
+    /// Append `profiled` under `key` and index it; reads see it at once.
+    /// The record is durable only after the next [`ProfileStore::sync`]
+    /// (or a seal, or [`ProfileStore::flush`]). Keys are
+    /// content-fingerprinted by the caller ([`KeyedStore`]), so an
+    /// existing key already holds this exact profile and the append is
+    /// skipped — first write wins and the log never accumulates
+    /// duplicates.
     pub fn put(&self, key: &str, profiled: &Profiled) -> Result<(), ProphetError> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let out = self.put_inner(key, profiled);
-        self.write_nanos.fetch_add(
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+        add_elapsed(&self.write_nanos, t0);
         out
     }
 
@@ -1099,10 +1162,11 @@ impl ProfileStore {
     }
 
     /// Append one framed record to the active log under the store lock,
-    /// indexing it, committing the manifest, and sealing the log into a
-    /// segment when it crosses the size threshold. `decoded` primes the
-    /// LRU when the caller already holds the parsed profile. Returns
-    /// `false` when the key already existed (first write wins).
+    /// indexing it and sealing the log into a segment when it crosses
+    /// the size threshold. No fsync and no manifest write unless it
+    /// seals. `decoded` primes the LRU when the caller already holds the
+    /// parsed profile. Returns `false` when the key already existed
+    /// (first write wins).
     fn append_record(
         &self,
         key: &str,
@@ -1124,7 +1188,7 @@ impl ProfileStore {
         let at = inner.active.valid_len;
         inner.active.file.seek(SeekFrom::Start(at))?;
         inner.active.file.write_all(&frame)?;
-        inner.active.file.sync_all()?;
+        inner.unsynced = true;
         inner.active.valid_len = at + frame.len() as u64;
         inner.active.records += 1;
         inner.index.insert(
@@ -1142,9 +1206,7 @@ impl ProfileStore {
             Self::lru_insert(&mut inner, key.to_string(), profiled, tick);
         }
         if inner.active.valid_len >= self.opts.segment_bytes {
-            Self::seal_locked(&self.dir, &mut inner)?;
-        } else {
-            Self::commit_manifest_locked(&self.dir, &inner)?;
+            self.seal_locked(&mut inner)?;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(true)
@@ -1155,19 +1217,32 @@ impl ProfileStore {
     /// decoded first so a corrupt or incompatible blob is rejected
     /// rather than persisted; accepted bytes are appended verbatim, so
     /// replicated and migrated records replay byte-identically to their
-    /// source. Returns `false` when the key already existed.
+    /// source. Like [`ProfileStore::put`], durable only after the next
+    /// [`ProfileStore::sync`]. Returns `false` when the key already
+    /// existed.
     pub fn put_raw(&self, key: &str, payload: &[u8]) -> Result<bool, ProphetError> {
         if let Err(e) = prophet_core::codec::decode_profiled(payload) {
             return Err(ProphetError::Store(format!(
                 "rejected raw record for {key:?}: {e}"
             )));
         }
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let out = self.append_record(key, payload, None);
-        self.write_nanos.fetch_add(
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+        add_elapsed(&self.write_nanos, t0);
+        out
+    }
+
+    /// The durability barrier: fsync the active log once, and only if a
+    /// record was appended since the last sync. Call it after a batch of
+    /// `put`/`put_raw` and before answering for them. Its time counts
+    /// into the write side of [`ProfileStore::io_nanos`].
+    pub fn sync(&self) -> Result<(), ProphetError> {
+        let t0 = Instant::now();
+        let out = {
+            let mut inner = self.inner.lock().expect("store lock poisoned");
+            self.sync_active_locked(&mut inner)
+        };
+        add_elapsed(&self.write_nanos, t0);
         out
     }
 
@@ -1263,6 +1338,7 @@ impl ProfileStore {
             segments,
             compactions: self.compactions.load(Ordering::Relaxed),
             reclaimed_bytes: self.reclaimed_bytes.load(Ordering::Relaxed),
+            syncs: self.syncs.load(Ordering::Relaxed),
         }
     }
 
@@ -1277,8 +1353,9 @@ impl ProfileStore {
     }
 
     /// Cumulative `(read, write)` wall-clock nanoseconds spent inside
-    /// `get` and `put`. Monotone; callers take deltas to attribute store
-    /// I/O time to a window of work (e.g. one serve batch).
+    /// `get` and `put`/`put_raw`/`sync`. Monotone; callers take deltas to
+    /// attribute store I/O time to a window of work (e.g. one serve
+    /// batch).
     pub fn io_nanos(&self) -> (u64, u64) {
         (
             self.read_nanos.load(Ordering::Relaxed),
@@ -1286,11 +1363,11 @@ impl ProfileStore {
         )
     }
 
-    /// Force log and manifest to disk. Appends already sync per record;
-    /// this is the explicit shutdown barrier for the serve daemon.
+    /// Sync the active log (as [`ProfileStore::sync`] does) and rewrite
+    /// the manifest: the shutdown barrier for the serve daemon.
     pub fn flush(&self) -> Result<(), ProphetError> {
-        let inner = self.inner.lock().expect("store lock poisoned");
-        inner.active.file.sync_all()?;
+        let mut inner = self.inner.lock().expect("store lock poisoned");
+        self.sync_active_locked(&mut inner)?;
         Self::commit_manifest_locked(&self.dir, &inner)
     }
 
@@ -1309,7 +1386,7 @@ impl ProfileStore {
     pub fn compact(&self, copts: &CompactOptions) -> Result<CompactReport, ProphetError> {
         let mut inner = self.inner.lock().expect("store lock poisoned");
         if copts.include_active {
-            Self::seal_locked(&self.dir, &mut inner)?;
+            self.seal_locked(&mut inner)?;
         }
         let min_ratio = copts.min_dead_ratio.unwrap_or(self.opts.compact_ratio);
         let nseg = inner.sealed.len();
@@ -1488,6 +1565,7 @@ impl ProfileStore {
         registry.set_gauge("store.segments", s.segments as f64);
         registry.set_gauge("store.compactions", s.compactions as f64);
         registry.set_gauge("store.reclaimed_bytes", s.reclaimed_bytes as f64);
+        registry.set_gauge("store.syncs", s.syncs as f64);
         let (read_nanos, write_nanos) = self.io_nanos();
         registry.set_gauge("store.read_nanos", read_nanos as f64);
         registry.set_gauge("store.write_nanos", write_nanos as f64);
@@ -1841,6 +1919,73 @@ mod tests {
             .segments
             .expect("v3 manifest lists segments")
             .is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_sync_makes_a_batch_of_puts_durable() {
+        let dir = tmpdir("sync-batch");
+        let before;
+        {
+            let store = ProfileStore::builder(&dir).open().unwrap();
+            for i in 0..5 {
+                store
+                    .put(&format!("k{i}"), &sample_profiled(&format!("p{i}")))
+                    .unwrap();
+            }
+            assert_eq!(store.stats().syncs, 0, "puts do not fsync");
+            store.sync().unwrap();
+            assert_eq!(store.stats().syncs, 1);
+            store.sync().unwrap();
+            assert_eq!(store.stats().syncs, 1, "nothing appended since");
+            assert_eq!(store.stats().writes, 5);
+            before = snapshot(&store);
+        }
+        let store = ProfileStore::builder(&dir).open().unwrap();
+        assert_eq!(store.len(), 5);
+        assert_eq!(
+            snapshot(&store),
+            before,
+            "synced records replay byte-identically"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn puts_below_the_seal_threshold_leave_the_manifest_alone() {
+        let dir = tmpdir("manifest-still");
+        let store = ProfileStore::builder(&dir).open().unwrap();
+        let at_open = fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        for k in ["a", "b", "c"] {
+            store.put(k, &sample_profiled(k)).unwrap();
+        }
+        store.sync().unwrap();
+        assert_eq!(
+            fs::read(dir.join(MANIFEST_NAME)).unwrap(),
+            at_open,
+            "appends must not rewrite the manifest"
+        );
+        assert_eq!(store.stats().segments, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sealing_put_syncs_before_it_seals() {
+        let dir = tmpdir("seal-sync");
+        let store = ProfileStore::builder(&dir).segment_bytes(1).open().unwrap();
+        store.put("a", &sample_profiled("a")).unwrap();
+        let s = store.stats();
+        assert_eq!((s.segments, s.syncs), (1, 1), "the seal fsynced the log");
+        store.sync().unwrap();
+        assert_eq!(store.stats().syncs, 1, "the fresh active log is clean");
+        let manifest: Manifest =
+            serde_json::from_str(&fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap()).unwrap();
+        let segments = manifest.segments.expect("v3 manifest lists segments");
+        assert_eq!(segments.len(), 1);
+        assert_eq!(
+            segments[0].len,
+            fs::metadata(dir.join(&segments[0].name)).unwrap().len()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -201,35 +201,44 @@ fn corrupt_tail_record_is_skipped_and_recomputed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The acceptance path end to end: a daemon with `--store-dir`, warmed
-/// over HTTP, is restarted on the same directory and serves the same
-/// spec byte-identically with zero profiles run.
-#[test]
-fn daemon_store_warm_restart_serves_identical_bytes() {
-    let dir = tmpdir("daemon");
-    let resolver = || -> serve::Resolver {
-        Arc::new(|list: &str| {
-            list.split(',')
-                .map(|tok| {
-                    tok.trim()
-                        .strip_prefix("t1-")
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .map(WorkloadSpec::test1)
-                        .ok_or_else(|| format!("unknown workload '{tok}'"))
-                })
-                .collect()
-        })
-    };
-    let cfg = || serve::ServeConfig {
+/// Daemon resolver: `t1-<seed>` → `WorkloadSpec::test1(seed)`,
+/// comma-lists allowed.
+fn t1_resolver() -> serve::Resolver {
+    Arc::new(|list: &str| {
+        list.split(',')
+            .map(|tok| {
+                tok.trim()
+                    .strip_prefix("t1-")
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .map(WorkloadSpec::test1)
+                    .ok_or_else(|| format!("unknown workload '{tok}'"))
+            })
+            .collect()
+    })
+}
+
+/// A one-worker daemon whose profile cache reads through / writes
+/// behind the store in `dir`.
+fn store_daemon(dir: &std::path::Path) -> serve::ServerHandle {
+    let cfg = serve::ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         engine_jobs: 1,
         store_dir: Some(dir.to_string_lossy().into_owned()),
         ..serve::ServeConfig::default()
     };
+    serve::Server::start(cfg, t1_resolver()).expect("daemon starts")
+}
+
+/// The acceptance path end to end: a daemon with `--store-dir`, warmed
+/// over HTTP, is restarted on the same directory and serves the same
+/// spec byte-identically with zero profiles run.
+#[test]
+fn daemon_store_warm_restart_serves_identical_bytes() {
+    let dir = tmpdir("daemon");
     const BODY: &str = r#"{"workload":"t1-21,t1-22","threads":[2,4],"predictors":["syn+mm"]}"#;
 
-    let cold_daemon = serve::Server::start(cfg(), resolver()).expect("daemon starts");
+    let cold_daemon = store_daemon(&dir);
     let addr = cold_daemon.local_addr().to_string();
     let (status, _, cold) =
         serve::http::client_request(&addr, "POST", "/v1/predict", Some(BODY)).unwrap();
@@ -239,7 +248,7 @@ fn daemon_store_warm_restart_serves_identical_bytes() {
     assert_eq!(cold_stats.store_writes, 2);
     cold_daemon.shutdown();
 
-    let warm_daemon = serve::Server::start(cfg(), resolver()).expect("daemon restarts");
+    let warm_daemon = store_daemon(&dir);
     let addr = warm_daemon.local_addr().to_string();
     let (status, _, warm) =
         serve::http::client_request(&addr, "POST", "/v1/predict", Some(BODY)).unwrap();
@@ -262,5 +271,78 @@ fn daemon_store_warm_restart_serves_identical_bytes() {
     );
     warm_daemon.shutdown();
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cold request over eight workloads (the `test1:1..9` set) appends
+/// eight profiles and fsyncs once, before the 200 goes out: the counters
+/// read right after the reply already show the sync.
+#[test]
+fn daemon_syncs_once_per_answered_batch() {
+    let dir = tmpdir("daemon-sync");
+    let daemon = store_daemon(&dir);
+    let addr = daemon.local_addr().to_string();
+    let seeds: Vec<String> = (1..9).map(|s| format!("t1-{s}")).collect();
+    let body = format!(
+        r#"{{"workload":"{}","threads":[2],"predictors":["ff"]}}"#,
+        seeds.join(",")
+    );
+    let (status, _, resp) =
+        serve::http::client_request(&addr, "POST", "/v1/predict", Some(&body)).unwrap();
+    assert_eq!(status, 200, "cold predict failed: {resp}");
+    let s = daemon.store().expect("store configured").stats();
+    assert_eq!((s.writes, s.syncs), (8, 1), "eight appends, one fsync");
+
+    let (status, _, metrics) =
+        serve::http::client_request(&addr, "GET", "/v1/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(metrics.contains(r#""store.writes": 8"#), "{metrics}");
+    assert!(metrics.contains(r#""store.syncs": 1"#), "{metrics}");
+    let (status, _, prom) =
+        serve::http::client_request(&addr, "GET", "/v1/metrics?format=prom", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(prom.contains("store_syncs"), "{prom}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The what-if job worker syncs the profile it stored before the job
+/// reads as done.
+#[test]
+fn daemon_job_syncs_its_profile_before_completing() {
+    let dir = tmpdir("daemon-job-sync");
+    let daemon = store_daemon(&dir);
+    let addr = daemon.local_addr().to_string();
+    let (status, _, submit) = serve::http::client_request(
+        &addr,
+        "POST",
+        "/v1/jobs",
+        Some(r#"{"workload":"t1-31","threads":[2,4]}"#),
+    )
+    .unwrap();
+    assert!(status == 202 || status == 200, "submit failed: {submit}");
+    let id = match serde_json::from_str::<serde::Value>(&submit)
+        .expect("JSON body")
+        .get("id")
+    {
+        Some(serde::Value::Str(id)) => id.clone(),
+        other => panic!("no job id ({other:?}) in {submit}"),
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let (_, _, st) =
+            serve::http::client_request(&addr, "GET", &format!("/v1/jobs/{id}"), None).unwrap();
+        if st.contains(r#""done""#) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job never finished: {st}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let s = daemon.store().expect("store configured").stats();
+    assert_eq!((s.writes, s.syncs), (1, 1), "the job's profile was synced");
+    daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
