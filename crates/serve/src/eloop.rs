@@ -5,9 +5,19 @@
 //! and the raw `signal(2)` FFI in [`crate::signal`]), a table of
 //! non-blocking connections, and a hashed timer wheel. Everything
 //! blocking stays off this thread: prediction batching runs on the
-//! worker pool, shard forwards on short-lived threads; they hand their
-//! [`Response`] back through a one-shot [`Responder`] that pushes onto a
-//! completion queue and wakes the loop via a self-pipe.
+//! worker pool, slow admin work on the bounded [`crate::pool`]; they
+//! hand their [`Response`] back through a one-shot [`Responder`] that
+//! pushes onto a completion queue and wakes the loop via a self-pipe.
+//! An answer sent from the loop thread itself (inline, or from an
+//! outbound completion) skips the self-pipe: the loop drains the
+//! completion queue before it polls again.
+//!
+//! Outbound HTTP runs on the same poller ([`Outbound`]): the handler
+//! queues an exchange, the loop dials nonblocking (or takes an idle
+//! pooled connection to the target), writes, reads until
+//! [`http::parse_response`] frames the answer, and runs the exchange's
+//! callback on the loop thread. Shard forwards therefore cost no
+//! thread and no cross-thread handoff.
 //!
 //! Per-connection state machine (`Reading → Awaiting → Writing → back`):
 //!
@@ -36,14 +46,15 @@
 //! [`EventLoop::stop`] then stops accepting and exits once the table is
 //! empty (with a hard grace period as backstop).
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::http::{self, Body, Request, Response};
+use crate::http::{self, Body, ClientResponse, Request, Response};
 
 /// Poller token for the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -60,6 +71,19 @@ const STOP_GRACE: Duration = Duration::from_secs(5);
 /// longer deadlines simply survive extra slot visits until due.
 const WHEEL_SLOTS: usize = 256;
 const WHEEL_GRANULARITY: Duration = Duration::from_millis(25);
+
+/// An outbound exchange fails after this long without progress (the
+/// blocking client's read/write timeouts).
+const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(60);
+/// Idle outbound connections kept per target.
+const MAX_IDLE_PER_TARGET: usize = 4;
+
+thread_local! {
+    /// Address of the [`LoopShared`] whose loop runs on this thread (0
+    /// on every other thread): a [`Responder::send`] made here needs no
+    /// wake-up.
+    static LOOP_ON_THIS_THREAD: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Event-loop tunables (the slow-loris knobs).
 #[derive(Debug, Clone)]
@@ -92,6 +116,9 @@ pub struct ConnStats {
     pub idle_timeouts_total: AtomicU64,
     /// Connections closed with 408 by the header timeout.
     pub header_timeouts_total: AtomicU64,
+    /// Bytes written to the wake pipe: answers (and drain/stop calls)
+    /// from threads other than the loop's own.
+    pub wake_notifies_total: AtomicU64,
 }
 
 /// Per-request metadata handed to the handler alongside the request.
@@ -105,9 +132,57 @@ pub struct ReqMeta {
 }
 
 /// The handler the loop dispatches complete requests to. Runs **on the
-/// loop thread** — it must not block; anything slow goes to another
-/// thread which later calls [`Responder::send`].
-pub type Handler = Arc<dyn Fn(Request, ReqMeta, Responder) + Send + Sync>;
+/// loop thread** and must not block. It answers inline, queues
+/// upstream requests on the [`Outbound`] context (their callbacks also
+/// run on the loop thread), or hands blocking work to another thread
+/// that later calls [`Responder::send`].
+pub type Handler = Arc<dyn Fn(Request, ReqMeta, Responder, &mut Outbound) + Send + Sync>;
+
+/// Completion callback of one outbound exchange: runs on the loop
+/// thread with the upstream's response or the transport error, and may
+/// queue further exchanges (a failover) on the context it is given.
+pub type OnDone = Box<dyn FnOnce(std::io::Result<ClientResponse>, &mut Outbound) + Send>;
+
+struct Exchange {
+    addr: String,
+    /// The serialised request, kept whole so a stale pooled connection
+    /// can resend it on a fresh dial.
+    bytes: Vec<u8>,
+    on_done: OnDone,
+}
+
+/// The loop-owned outbound HTTP context. Exchanges queued here start
+/// as soon as the handler (or callback) that queued them returns.
+///
+/// Semantics match [`http::ClientConn`] behind a per-target pool:
+/// responses are framed by `content-length`; a connection goes back to
+/// the target's idle pool until the upstream answers `connection:
+/// close`; an error on a *reused* idle connection is retried once on a
+/// fresh dial; a 60 s timeout without progress fails the exchange.
+#[derive(Default)]
+pub struct Outbound {
+    queue: VecDeque<Exchange>,
+}
+
+impl Outbound {
+    /// Queue one keep-alive request to `addr`; `on_done` runs on the
+    /// loop thread with the response or the transport error.
+    pub fn request(
+        &mut self,
+        addr: &str,
+        method: &str,
+        path_and_query: &str,
+        headers: &[(&str, &str)],
+        body: Option<&str>,
+        on_done: impl FnOnce(std::io::Result<ClientResponse>, &mut Outbound) + Send + 'static,
+    ) {
+        self.queue.push_back(Exchange {
+            addr: addr.to_string(),
+            bytes: http::encode_request(method, path_and_query, body, headers, true),
+            on_done: Box::new(on_done),
+        });
+    }
+}
 
 /// Callback invoked after the response flushed (or failed to): gets the
 /// status, the flush start instant, the flush duration in nanos (0 when
@@ -139,10 +214,10 @@ pub struct Responder {
 }
 
 impl Responder {
-    /// Deliver the response. Thread-safe; wakes the loop. Returns
-    /// whether this call won the one-shot (false when the request was
-    /// already answered, e.g. its deadline fired) so callers can count
-    /// a status exactly once.
+    /// Deliver the response. Thread-safe; wakes the loop unless called
+    /// on the loop thread. Returns whether this call won the one-shot
+    /// (false when the request was already answered, e.g. its deadline
+    /// fired) so callers can count a status exactly once.
     pub fn send(&self, resp: Response) -> bool {
         {
             let mut st = self.inner.state.lock().unwrap();
@@ -158,7 +233,10 @@ impl Responder {
             .lock()
             .unwrap()
             .push(self.inner.clone());
-        self.inner.shared.wake.notify();
+        let shared = &self.inner.shared;
+        if LOOP_ON_THIS_THREAD.get() != Arc::as_ptr(shared) as usize {
+            shared.notify();
+        }
         true
     }
 
@@ -180,9 +258,19 @@ impl Responder {
 struct LoopShared {
     completions: Mutex<Vec<Arc<RespInner>>>,
     wake: sys::WakePipe,
+    stats: Arc<ConnStats>,
     draining: AtomicBool,
     drain_requested: AtomicBool,
     stop_requested: AtomicBool,
+}
+
+impl LoopShared {
+    fn notify(&self) {
+        self.stats
+            .wake_notifies_total
+            .fetch_add(1, Ordering::Relaxed);
+        self.wake.notify();
+    }
 }
 
 /// Handle to a running event loop.
@@ -206,6 +294,7 @@ impl EventLoop {
         let shared = Arc::new(LoopShared {
             completions: Mutex::new(Vec::new()),
             wake: sys::WakePipe::new()?,
+            stats: Arc::clone(&stats),
             draining: AtomicBool::new(false),
             drain_requested: AtomicBool::new(false),
             stop_requested: AtomicBool::new(false),
@@ -228,7 +317,7 @@ impl EventLoop {
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.drain_requested.store(true, Ordering::SeqCst);
-        self.shared.wake.notify();
+        self.shared.notify();
     }
 
     /// Stop accepting and shut the loop down once remaining connections
@@ -237,7 +326,7 @@ impl EventLoop {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.drain_requested.store(true, Ordering::SeqCst);
         self.shared.stop_requested.store(true, Ordering::SeqCst);
-        self.shared.wake.notify();
+        self.shared.notify();
     }
 
     /// Wait for the loop thread to exit (call [`stop`](Self::stop) first).
@@ -285,6 +374,8 @@ struct Conn {
     /// When the current request's first byte arrived (head timeout +
     /// parse-stage timing).
     head_started: Option<Instant>,
+    /// Whether a [`TimerKind::Header`] entry is on the wheel.
+    header_timer_armed: bool,
     last_activity: Instant,
     /// Interest currently registered with the poller.
     interest: (bool, bool),
@@ -293,8 +384,47 @@ struct Conn {
 #[derive(Clone, Copy)]
 enum TimerKind {
     Idle,
-    Header { started: Instant },
-    Deadline { seq: u64 },
+    /// The request head in progress must complete in time; at most one
+    /// entry per connection, re-armed for whichever head is current.
+    Header,
+    Deadline {
+        seq: u64,
+    },
+    /// An outbound connection's progress timeout.
+    Upstream,
+}
+
+enum OutState {
+    /// Nonblocking `connect` in progress (`EINPROGRESS`).
+    Connecting,
+    /// Sending the exchange's request bytes.
+    Writing,
+    /// Accumulating the response until it is framed.
+    Reading,
+    /// Parked in its target's idle pool.
+    Idle,
+}
+
+/// One outbound connection; it shares the token space, the poller and
+/// the timer wheel with the inbound connections.
+struct OutConn {
+    stream: TcpStream,
+    fd: sys::RawFd,
+    addr: String,
+    state: OutState,
+    /// The exchange in flight (none while idle).
+    exchange: Option<Exchange>,
+    /// How much of the exchange's request bytes is written.
+    wpos: usize,
+    rbuf: Vec<u8>,
+    /// The exchange in flight came out of the idle pool, so a failure
+    /// is retried once on a fresh dial.
+    reused: bool,
+    last_activity: Instant,
+    /// Whether an [`TimerKind::Upstream`] entry is on the wheel (at
+    /// most one per connection).
+    timer_armed: bool,
+    interest: (bool, bool),
 }
 
 struct TimerEntry {
@@ -328,11 +458,16 @@ impl TimerWheel {
     fn insert(&mut self, at: Instant, token: u64, kind: TimerKind) {
         // Entries already due (or due before the next tick) go into the
         // next slot the cursor will visit, so they fire promptly instead
-        // of waiting a full rotation.
+        // of waiting a full rotation. Otherwise the slot is the first
+        // tick at or after `at` (rounded up: the cursor visits a slot at
+        // its tick, and an entry not yet due then would wait a whole
+        // rotation for the next visit).
         let effective = at.max(self.last_tick + WHEEL_GRANULARITY);
-        let ticks = effective.saturating_duration_since(self.origin).as_millis() as u64
-            / WHEEL_GRANULARITY.as_millis() as u64;
-        let slot = (ticks as usize) % WHEEL_SLOTS;
+        let ticks = effective
+            .saturating_duration_since(self.origin)
+            .as_nanos()
+            .div_ceil(WHEEL_GRANULARITY.as_nanos());
+        let slot = (ticks % WHEEL_SLOTS as u128) as usize;
         self.slots[slot].push(TimerEntry { at, token, kind });
         self.len += 1;
     }
@@ -402,6 +537,10 @@ struct LoopState {
     poller: sys::Poller,
     listener: TcpListener,
     conns: HashMap<u64, Conn>,
+    outs: HashMap<u64, OutConn>,
+    /// Idle outbound connections per target address, most recent last.
+    idle_outs: HashMap<String, Vec<u64>>,
+    outbound: Outbound,
     wheel: TimerWheel,
     shared: Arc<LoopShared>,
     handler: Handler,
@@ -432,6 +571,9 @@ impl LoopState {
             poller,
             listener,
             conns: HashMap::new(),
+            outs: HashMap::new(),
+            idle_outs: HashMap::new(),
+            outbound: Outbound::default(),
             wheel: TimerWheel::new(Instant::now()),
             shared,
             handler,
@@ -445,6 +587,7 @@ impl LoopState {
     }
 
     fn run(&mut self) {
+        LOOP_ON_THIS_THREAD.set(Arc::as_ptr(&self.shared) as usize);
         let mut events = Vec::new();
         loop {
             if self.shared.drain_requested.swap(false, Ordering::SeqCst) {
@@ -483,18 +626,24 @@ impl LoopState {
                 continue;
             }
 
+            // Answers sent on this thread (inline, outbound completions,
+            // upstream timeouts) wrote no wake byte: drain the completion
+            // queue after every event, so an answer is written before
+            // the next event's work.
             for ev in std::mem::take(&mut events) {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => self.shared.wake.drain(),
+                    token if self.outs.contains_key(&token) => self.out_event(token, &ev),
                     token => self.conn_event(token, &ev),
                 }
+                self.drain_completions();
             }
-            self.drain_completions();
             let now = Instant::now();
             for entry in self.wheel.collect_due(now) {
                 self.on_timer(entry, now);
             }
+            self.drain_completions();
         }
     }
 
@@ -548,6 +697,7 @@ impl LoopState {
                             req_keep_alive: false,
                             peer_closed: false,
                             head_started: None,
+                            header_timer_armed: false,
                             last_activity: now,
                             interest: (true, false),
                         },
@@ -611,18 +761,9 @@ impl LoopState {
                 Ok(n) => {
                     let now = Instant::now();
                     conn.last_activity = now;
-                    if conn.head_started.is_none() {
-                        conn.head_started = Some(now);
-                        let seq_started = now;
-                        self.wheel.insert(
-                            now + self.cfg.header_timeout,
-                            token,
-                            TimerKind::Header {
-                                started: seq_started,
-                            },
-                        );
-                    }
+                    conn.head_started.get_or_insert(now);
                     conn.rbuf.extend_from_slice(&chunk[..n]);
+                    self.arm_header_timer(token);
                     self.try_advance(token);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -688,7 +829,9 @@ impl LoopState {
                     Responder {
                         inner: inner.clone(),
                     },
+                    &mut self.outbound,
                 );
+                self.start_outbound();
                 // The handler registers its deadline synchronously; arm
                 // the wheel now (inline sends are picked up by the
                 // completion drain this same iteration).
@@ -807,13 +950,8 @@ impl LoopState {
         conn.last_activity = Instant::now();
         if !conn.rbuf.is_empty() {
             // Pipelined successor already buffered: parse it now.
-            let now = Instant::now();
-            conn.head_started = Some(now);
-            self.wheel.insert(
-                now + self.cfg.header_timeout,
-                token,
-                TimerKind::Header { started: now },
-            );
+            conn.head_started = Some(Instant::now());
+            self.arm_header_timer(token);
             self.try_advance(token);
         } else if self.draining() {
             // Keep-alive granted before drain began; nothing buffered,
@@ -862,6 +1000,10 @@ impl LoopState {
     }
 
     fn on_timer(&mut self, entry: TimerEntry, now: Instant) {
+        if let TimerKind::Upstream = entry.kind {
+            self.out_timer(entry.token, now);
+            return;
+        }
         let Some(conn) = self.conns.get_mut(&entry.token) else {
             return;
         };
@@ -882,12 +1024,15 @@ impl LoopState {
                     );
                 }
             }
-            TimerKind::Header { started } => {
-                let still_that_head =
-                    matches!(conn.state, ConnState::Reading) && conn.head_started == Some(started);
-                if !still_that_head {
+            TimerKind::Header => {
+                conn.header_timer_armed = false;
+                let head = match conn.state {
+                    ConnState::Reading => conn.head_started,
+                    _ => None,
+                };
+                let Some(started) = head else {
                     return;
-                }
+                };
                 if now.saturating_duration_since(started) >= self.cfg.header_timeout {
                     self.stats
                         .header_timeouts_total
@@ -900,11 +1045,7 @@ impl LoopState {
                         false,
                     );
                 } else {
-                    self.wheel.insert(
-                        started + self.cfg.header_timeout,
-                        entry.token,
-                        TimerKind::Header { started },
-                    );
+                    self.arm_header_timer(entry.token);
                 }
             }
             TimerKind::Deadline { seq } => {
@@ -945,6 +1086,21 @@ impl LoopState {
                     self.queue_response(entry.token, resp, keep, on_written, true);
                 }
             }
+            TimerKind::Upstream => {} // handled above
+        }
+    }
+
+    /// Put the connection's header timer on the wheel for the head in
+    /// progress, unless it is already there: one entry per connection,
+    /// not one per request.
+    fn arm_header_timer(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if let (false, Some(started)) = (conn.header_timer_armed, conn.head_started) {
+            conn.header_timer_armed = true;
+            self.wheel
+                .insert(started + self.cfg.header_timeout, token, TimerKind::Header);
         }
     }
 
@@ -998,17 +1154,319 @@ impl LoopState {
             self.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
         }
     }
+
+    /// Start every queued outbound exchange.
+    fn start_outbound(&mut self) {
+        while let Some(ex) = self.outbound.queue.pop_front() {
+            self.start_exchange(ex);
+        }
+    }
+
+    /// Send `ex` on an idle pooled connection to its target, or dial.
+    fn start_exchange(&mut self, ex: Exchange) {
+        let Some(token) = self.idle_outs.get_mut(&ex.addr).and_then(Vec::pop) else {
+            return self.dial(ex);
+        };
+        let conn = self
+            .outs
+            .get_mut(&token)
+            .expect("closing a connection takes it out of the idle pool");
+        conn.state = OutState::Writing;
+        conn.exchange = Some(ex);
+        conn.wpos = 0;
+        conn.reused = true;
+        conn.last_activity = Instant::now();
+        self.arm_out_timer(token);
+        self.out_write(token);
+    }
+
+    fn dial(&mut self, ex: Exchange) {
+        let stream = match sys::connect_nonblocking(&ex.addr) {
+            Ok(stream) => stream,
+            Err(e) => return self.complete(ex.on_done, Err(e)),
+        };
+        let _ = stream.set_nodelay(true);
+        let fd = sys::raw_fd(&stream);
+        let token = self.next_token;
+        self.next_token += 1;
+        if let Err(e) = self.poller.add(fd, token, false, true) {
+            return self.complete(ex.on_done, Err(e));
+        }
+        self.outs.insert(
+            token,
+            OutConn {
+                stream,
+                fd,
+                addr: ex.addr.clone(),
+                state: OutState::Connecting,
+                exchange: Some(ex),
+                wpos: 0,
+                rbuf: Vec::new(),
+                reused: false,
+                last_activity: Instant::now(),
+                timer_armed: false,
+                interest: (false, true),
+            },
+        );
+        self.arm_out_timer(token);
+    }
+
+    fn out_event(&mut self, token: u64, ev: &sys::Event) {
+        let Some(conn) = self.outs.get_mut(&token) else {
+            return;
+        };
+        match conn.state {
+            OutState::Connecting if ev.writable || ev.error => match conn.stream.take_error() {
+                Ok(None) => {
+                    conn.state = OutState::Writing;
+                    self.out_write(token);
+                }
+                Ok(Some(e)) | Err(e) => self.out_failed(token, e),
+            },
+            OutState::Writing if ev.writable || ev.error => self.out_write(token),
+            OutState::Reading if ev.readable || ev.rdhup || ev.error => self.out_read(token),
+            // A parked connection hears only a close (or bytes nobody
+            // asked for): it is no longer reusable.
+            OutState::Idle => {
+                self.close_out(token);
+            }
+            _ => {}
+        }
+    }
+
+    fn out_write(&mut self, token: u64) {
+        loop {
+            let Some(conn) = self.outs.get_mut(&token) else {
+                return;
+            };
+            let bytes = &conn.exchange.as_ref().expect("writing an exchange").bytes;
+            if conn.wpos >= bytes.len() {
+                conn.state = OutState::Reading;
+                self.set_out_interest(token, (true, false));
+                return;
+            }
+            match conn.stream.write(&bytes[conn.wpos..]) {
+                Ok(n) => {
+                    conn.wpos += n;
+                    conn.last_activity = Instant::now();
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.set_out_interest(token, (false, true));
+                    return;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return self.out_failed(token, e),
+            }
+        }
+    }
+
+    fn out_read(&mut self, token: u64) {
+        let mut chunk = [0u8; 8192];
+        loop {
+            let Some(conn) = self.outs.get_mut(&token) else {
+                return;
+            };
+            let eof = match conn.stream.read(&mut chunk) {
+                Ok(n) => {
+                    conn.rbuf.extend_from_slice(&chunk[..n]);
+                    conn.last_activity = Instant::now();
+                    n == 0
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return self.out_failed(token, e),
+            };
+            match http::parse_response(&conn.rbuf, eof) {
+                Ok(None) => {}
+                Ok(Some((resp, consumed))) => {
+                    conn.rbuf.drain(..consumed);
+                    return self.out_done(token, resp);
+                }
+                Err(e) => return self.out_failed(token, e),
+            }
+        }
+    }
+
+    /// The exchange on `token` got its response: park the connection
+    /// (or close it) and run the callback.
+    fn out_done(&mut self, token: u64, resp: ClientResponse) {
+        let Some(conn) = self.outs.get_mut(&token) else {
+            return;
+        };
+        let ex = conn.exchange.take().expect("finished an exchange");
+        let idle = self.idle_outs.entry(conn.addr.clone()).or_default();
+        if http::keeps_alive(&resp.1) && idle.len() < MAX_IDLE_PER_TARGET {
+            idle.push(token);
+            conn.state = OutState::Idle;
+        } else {
+            self.close_out(token);
+        }
+        self.complete(ex.on_done, Ok(resp));
+    }
+
+    /// A transport error on `token`: a reused connection retries its
+    /// exchange once on a fresh dial, anything else fails it.
+    fn out_failed(&mut self, token: u64, err: std::io::Error) {
+        let Some(mut conn) = self.close_out(token) else {
+            return;
+        };
+        match conn.exchange.take() {
+            Some(ex) if conn.reused => self.dial(ex),
+            Some(ex) => self.complete(ex.on_done, Err(err)),
+            None => {}
+        }
+    }
+
+    fn complete(&mut self, on_done: OnDone, result: std::io::Result<ClientResponse>) {
+        on_done(result, &mut self.outbound);
+        self.start_outbound();
+    }
+
+    fn close_out(&mut self, token: u64) -> Option<OutConn> {
+        let conn = self.outs.remove(&token)?;
+        let _ = self.poller.remove(conn.fd);
+        if let Some(idle) = self.idle_outs.get_mut(&conn.addr) {
+            idle.retain(|t| *t != token);
+        }
+        Some(conn)
+    }
+
+    fn set_out_interest(&mut self, token: u64, want: (bool, bool)) {
+        let Some(conn) = self.outs.get_mut(&token) else {
+            return;
+        };
+        if want != conn.interest {
+            conn.interest = want;
+            let _ = self.poller.modify(conn.fd, token, want.0, want.1);
+        }
+    }
+
+    fn arm_out_timer(&mut self, token: u64) {
+        let Some(conn) = self.outs.get_mut(&token) else {
+            return;
+        };
+        if !conn.timer_armed {
+            conn.timer_armed = true;
+            self.wheel.insert(
+                conn.last_activity + UPSTREAM_TIMEOUT,
+                token,
+                TimerKind::Upstream,
+            );
+        }
+    }
+
+    fn out_timer(&mut self, token: u64, now: Instant) {
+        let Some(conn) = self.outs.get_mut(&token) else {
+            return;
+        };
+        if let OutState::Idle = conn.state {
+            conn.timer_armed = false;
+            return;
+        }
+        let due = conn.last_activity + UPSTREAM_TIMEOUT;
+        if now >= due {
+            let err = std::io::Error::new(std::io::ErrorKind::TimedOut, "upstream timed out");
+            self.out_failed(token, err);
+        } else {
+            self.wheel.insert(due, token, TimerKind::Upstream);
+        }
+    }
 }
 
 /// Platform pollers. Linux gets raw `epoll(7)`; other unix falls back
 /// to `poll(2)`. Both expose the same minimal API.
 mod sys {
+    use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
     use std::os::raw::c_int;
     use std::os::unix::io::AsRawFd;
     pub use std::os::unix::io::RawFd;
 
     pub fn raw_fd<T: AsRawFd>(t: &T) -> RawFd {
         t.as_raw_fd()
+    }
+
+    /// `ip:port` parses in place; a host name costs a (blocking) lookup
+    /// per dial, which pooled connections make rare.
+    fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
+        if let Ok(sa) = addr.parse() {
+            return Ok(sa);
+        }
+        addr.to_socket_addrs()?.next().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "address resolves to nothing",
+            )
+        })
+    }
+
+    /// Start a nonblocking TCP connect to `addr`. The connect usually
+    /// completes later (`EINPROGRESS`): the socket turns writable and
+    /// `take_error` reports the outcome.
+    #[cfg(target_os = "linux")]
+    pub fn connect_nonblocking(addr: &str) -> std::io::Result<TcpStream> {
+        use std::os::unix::io::FromRawFd;
+        extern "C" {
+            fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+            fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
+        }
+        const AF_INET: u16 = 2;
+        const AF_INET6: u16 = 10;
+        const SOCK_STREAM: c_int = 1;
+        const SOCK_NONBLOCK: c_int = 0o4000;
+        const SOCK_CLOEXEC: c_int = 0o2000000;
+        const EINPROGRESS: i32 = 115;
+        // `struct sockaddr_in` / `sockaddr_in6`, byte by byte.
+        let mut raw = Vec::with_capacity(28);
+        let family = match resolve(addr)? {
+            SocketAddr::V4(a) => {
+                raw.extend_from_slice(&AF_INET.to_ne_bytes());
+                raw.extend_from_slice(&a.port().to_be_bytes());
+                raw.extend_from_slice(&a.ip().octets());
+                raw.extend_from_slice(&[0; 8]);
+                AF_INET
+            }
+            SocketAddr::V6(a) => {
+                raw.extend_from_slice(&AF_INET6.to_ne_bytes());
+                raw.extend_from_slice(&a.port().to_be_bytes());
+                raw.extend_from_slice(&a.flowinfo().to_be_bytes());
+                raw.extend_from_slice(&a.ip().octets());
+                raw.extend_from_slice(&a.scope_id().to_ne_bytes());
+                AF_INET6
+            }
+        };
+        // SAFETY: socket(2) takes only integer arguments.
+        let fd = unsafe {
+            socket(
+                c_int::from(family),
+                SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                0,
+            )
+        };
+        if fd < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a freshly created TCP socket that nothing else
+        // owns; the stream takes it over and closes it on drop, also on
+        // the error return below.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        // SAFETY: `raw` is a complete `sockaddr_in`/`sockaddr_in6` of
+        // `raw.len()` bytes for the socket's family, alive for the call;
+        // the kernel copies it.
+        if unsafe { connect(fd, raw.as_ptr(), raw.len() as u32) } != 0 {
+            let err = std::io::Error::last_os_error();
+            if err.raw_os_error() != Some(EINPROGRESS) {
+                return Err(err);
+            }
+        }
+        Ok(stream)
+    }
+
+    /// Other unix: a blocking connect, then nonblocking I/O.
+    #[cfg(not(target_os = "linux"))]
+    pub fn connect_nonblocking(addr: &str) -> std::io::Result<TcpStream> {
+        let stream = TcpStream::connect(resolve(addr)?)?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
     }
 
     /// One readiness event, normalised across backends.
@@ -1353,10 +1811,12 @@ mod tests {
     fn echo_loop(max_conns: usize) -> (EventLoop, String, Arc<ConnStats>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stats = Arc::new(ConnStats::default());
-        let handler: Handler = Arc::new(|req: Request, _meta, responder: Responder| {
-            let body = format!("echo:{}", req.path);
-            responder.send(Response::text(200, body));
-        });
+        let handler: Handler = Arc::new(
+            |req: Request, _meta, responder: Responder, _: &mut Outbound| {
+                let body = format!("echo:{}", req.path);
+                responder.send(Response::text(200, body));
+            },
+        );
         let eloop = EventLoop::start(
             listener,
             handler,
@@ -1428,5 +1888,15 @@ mod tests {
         let fired = wheel.collect_due(t0 + Duration::from_secs(61));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].token, 8);
+    }
+
+    #[test]
+    fn wheel_fires_an_entry_on_the_first_tick_at_or_after_it() {
+        let t0 = Instant::now();
+        let mut wheel = TimerWheel::new(t0);
+        wheel.insert(t0 + Duration::from_millis(30), 7, TimerKind::Idle);
+        assert!(wheel.collect_due(t0 + Duration::from_millis(25)).is_empty());
+        let fired = wheel.collect_due(t0 + Duration::from_millis(50));
+        assert_eq!(fired.len(), 1, "due at 30 ms, fired at the 50 ms tick");
     }
 }

@@ -17,10 +17,12 @@
 //!   written zero-copy — the cache's bytes go straight to `write(2)`
 //!   without a per-request copy.
 //! * **Client side** — [`client_request`] is the old one-shot
-//!   `Connection: close` call; [`ClientConn`] is a persistent keep-alive
-//!   connection that frames responses by `Content-Length`, used by
-//!   `loadgen --keep-alive` and the router's pooled upstream
-//!   connections.
+//!   `Connection: close` call; [`ClientConn`] is a persistent blocking
+//!   keep-alive connection, used by `loadgen --keep-alive`, replica
+//!   pushes, and fan-outs on the blocking pool. The event loop's
+//!   nonblocking outbound connections ([`crate::eloop::Outbound`])
+//!   encode requests and frame responses with the same two functions
+//!   ([`parse_response`] is incremental, like [`parse_request`]).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -412,110 +414,129 @@ impl ClientConn {
         extra_headers: &[(&str, &str)],
         keep_alive: bool,
     ) -> std::io::Result<ClientResponse> {
-        let body = body.unwrap_or("");
-        let mut req = format!(
-            "{method} {path_and_query} HTTP/1.1\r\nhost: prophet\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: {}\r\n",
-            body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        );
-        for (name, value) in extra_headers {
-            req.push_str(&format!("{name}: {value}\r\n"));
-        }
-        req.push_str("\r\n");
-        req.push_str(body);
-        if let Err(e) = self.stream.write_all(req.as_bytes()) {
+        let req = encode_request(method, path_and_query, body, extra_headers, keep_alive);
+        let result = self
+            .stream
+            .write_all(&req)
+            .and_then(|()| self.read_response());
+        if result.is_err() {
             self.reusable = false;
-            return Err(e);
         }
-        match self.read_response() {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.reusable = false;
-                Err(e)
-            }
-        }
+        result
     }
 
-    /// Read one response: head, then exactly `Content-Length` body bytes
-    /// (or to EOF when the server did not frame the body).
+    /// Read until [`parse_response`] frames one response.
     fn read_response(&mut self) -> std::io::Result<ClientResponse> {
         let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(pos) = find_head_end(&self.rbuf) {
-                break pos;
-            }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response-head",
-                ));
-            }
-            self.rbuf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8_lossy(&self.rbuf[..head_end]).to_string();
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-            })?;
-        let headers: Vec<(String, String)> = lines
-            .filter_map(|l| {
-                l.split_once(':')
-                    .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-            })
-            .collect();
-        let body_start = head_end + 4;
-        let content_length: Option<usize> = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse().ok());
-        let body = match content_length {
-            Some(len) => {
-                while self.rbuf.len() < body_start + len {
-                    let n = self.stream.read(&mut chunk)?;
-                    if n == 0 {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-response-body",
-                        ));
-                    }
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                }
-                let body =
-                    String::from_utf8_lossy(&self.rbuf[body_start..body_start + len]).to_string();
+        let mut eof = false;
+        loop {
+            if let Some((resp, consumed)) = parse_response(&self.rbuf, eof)? {
                 // Keep anything past this response (the server never
                 // pipelines unrequested bytes, but be safe).
-                self.rbuf.drain(..body_start + len);
-                body
+                self.rbuf.drain(..consumed);
+                self.reusable &= keeps_alive(&resp.1);
+                return Ok(resp);
             }
-            None => {
-                // Unframed: the server will close; read to EOF.
-                self.reusable = false;
-                let mut rest = std::mem::take(&mut self.rbuf);
-                self.stream.read_to_end(&mut rest)?;
-                String::from_utf8_lossy(&rest[body_start..]).to_string()
-            }
-        };
-        if headers
-            .iter()
-            .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"))
-        {
-            self.reusable = false;
+            let n = self.stream.read(&mut chunk)?;
+            eof = n == 0;
+            self.rbuf.extend_from_slice(&chunk[..n]);
         }
-        Ok((status, headers, body))
     }
 }
 
-/// A pool of persistent keep-alive connections to upstream daemons,
-/// keyed by address. Used by the sharded daemon's forwards and the
-/// router, so a forward reuses a warm TCP connection instead of paying
-/// a fresh handshake per request.
+/// Serialise one client request. Every request carries a
+/// `content-length` (0 without a body) and an explicit keep-alive
+/// decision.
+pub(crate) fn encode_request(
+    method: &str,
+    path_and_query: &str,
+    body: Option<&str>,
+    extra_headers: &[(&str, &str)],
+    keep_alive: bool,
+) -> Vec<u8> {
+    let body = body.unwrap_or("");
+    let mut req = format!(
+        "{method} {path_and_query} HTTP/1.1\r\nhost: prophet\r\ncontent-type: application/json\r\n\
+         content-length: {}\r\nconnection: {}\r\n",
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
+    );
+    for (name, value) in extra_headers {
+        req.push_str(&format!("{name}: {value}\r\n"));
+    }
+    req.push_str("\r\n");
+    req.push_str(body);
+    req.into_bytes()
+}
+
+/// Incrementally parse one response from the front of `buf`: the head,
+/// then exactly `content-length` body bytes, or everything up to EOF
+/// when the server did not frame the body. `eof` says the peer closed,
+/// so no more bytes will come.
+///
+/// Returns `Ok(None)` while more bytes are needed, and
+/// `Ok(Some((response, consumed)))` once one response is complete.
+/// A malformed status line, or EOF before the response is complete,
+/// is an error. Both clients ([`ClientConn`] and the event loop's
+/// outbound connections) frame responses through this one parser.
+pub fn parse_response(buf: &[u8], eof: bool) -> std::io::Result<Option<(ClientResponse, usize)>> {
+    let closed = |what: &str| {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("connection closed mid-response-{what}"),
+        ))
+    };
+    let Some(head_end) = find_head_end(buf) else {
+        return if eof { closed("head") } else { Ok(None) };
+    };
+    let head = String::from_utf8_lossy(&buf[..head_end]);
+    let mut lines = head.split("\r\n");
+    let status: u16 = lines
+        .next()
+        .unwrap_or("")
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
+    let headers: Vec<(String, String)> = lines
+        .filter_map(|l| {
+            l.split_once(':')
+                .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
+        })
+        .collect();
+    let body_start = head_end + 4;
+    let end = match content_length(&headers) {
+        Some(len) if buf.len() >= body_start + len => body_start + len,
+        Some(_) => return if eof { closed("body") } else { Ok(None) },
+        // Unframed: the body runs to EOF.
+        None if eof => buf.len(),
+        None => return Ok(None),
+    };
+    let body = String::from_utf8_lossy(&buf[body_start..end]).into_owned();
+    Ok(Some(((status, headers, body), end)))
+}
+
+fn content_length(headers: &[(String, String)]) -> Option<usize> {
+    headers
+        .iter()
+        .find(|(k, _)| k == "content-length")
+        .and_then(|(_, v)| v.parse().ok())
+}
+
+/// Whether a connection may carry another request after a response
+/// with these headers: the body was framed by `content-length` and the
+/// server did not say `connection: close`.
+pub(crate) fn keeps_alive(headers: &[(String, String)]) -> bool {
+    content_length(headers).is_some()
+        && !headers
+            .iter()
+            .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"))
+}
+
+/// A pool of persistent blocking keep-alive connections to upstream
+/// daemons, keyed by address. Used by replica pushes and migration
+/// streams, which run off the event loop, so each push reuses a warm
+/// TCP connection instead of paying a fresh handshake.
 ///
 /// Failure semantics: a request on a *reused* connection that errors is
 /// retried once on a freshly dialed connection (the pooled socket may

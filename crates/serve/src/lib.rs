@@ -39,8 +39,8 @@
 //! * **Sharding.** With [`ServeConfig::shard_ring`] set, the daemon only
 //!   evaluates keys it owns on the [`ring::ShardRing`] and transparently
 //!   forwards the rest to their owner over pooled persistent upstream
-//!   connections, so a fleet partitions the key space instead of
-//!   replicating it.
+//!   connections driven by the event loop itself, so a fleet partitions
+//!   the key space instead of replicating it.
 //!
 //! * **Batch jobs.** What-if analyses ([`whatif`]) are heavier than a
 //!   predict and are served asynchronously: `POST /v1/jobs` enqueues and
@@ -64,6 +64,7 @@ pub mod http;
 pub mod jobs;
 pub mod loadgen;
 pub mod metrics;
+mod pool;
 pub mod ring;
 pub mod router;
 pub mod signal;
@@ -620,8 +621,9 @@ struct Shared {
     /// compaction as the retain predicate so stale calibration
     /// generations are garbage-collected.
     store_suffix: Option<String>,
-    /// Persistent keep-alive connections to the other shards.
-    upstreams: http::UpstreamPool,
+    /// Runs compaction, migration, trace stitching and job lookups off
+    /// the loop.
+    blocking: pool::BlockingPool,
     /// Per-process tracing state.
     tracing: trace::Tracing,
 }
@@ -732,7 +734,11 @@ impl Server {
             shard,
             cluster: cluster_state,
             store_suffix,
-            upstreams: http::UpstreamPool::new(4),
+            blocking: pool::BlockingPool::new(
+                "serve-blocking",
+                pool::BLOCKING_THREADS,
+                pool::BLOCKING_QUEUE,
+            ),
             tracing,
             cfg,
         });
@@ -761,7 +767,9 @@ impl Server {
 
         let handler: eloop::Handler = {
             let shared = Arc::clone(&shared);
-            Arc::new(move |req, meta, responder| handle_request(&shared, req, meta, responder))
+            Arc::new(move |req, meta, responder, out: &mut eloop::Outbound| {
+                handle_request(&shared, req, meta, responder, out)
+            })
         };
         let eloop = eloop::EventLoop::start(
             listener,
@@ -847,13 +855,16 @@ impl ServerHandle {
 }
 
 /// The event-loop handler: set up per-request accounting and dispatch.
-/// Runs on the loop thread, so everything slow (prediction, forwards,
-/// trace stitching) is handed to other threads via the [`Reply`].
+/// Runs on the loop thread: forwards are outbound exchanges on `out`,
+/// prediction goes to the batch workers, and other blocking work
+/// (compaction, migration, trace stitching, job lookups) to the
+/// blocking pool, each answering through the [`Reply`].
 fn handle_request(
     shared: &Arc<Shared>,
     req: Request,
     meta: eloop::ReqMeta,
     responder: eloop::Responder,
+    out: &mut eloop::Outbound,
 ) {
     let m = &shared.metrics;
     m.inflight.fetch_add(1, Ordering::Relaxed);
@@ -906,10 +917,16 @@ fn handle_request(
             m.inflight.fetch_sub(1, Ordering::Relaxed);
         });
     }
-    route(shared, &req, &trace, &reply);
+    route(shared, &req, &trace, &reply, out);
 }
 
-fn route(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: &Reply) {
+fn route(
+    shared: &Arc<Shared>,
+    req: &Request,
+    trace: &trace::ReqTrace,
+    reply: &Reply,
+    out: &mut eloop::Outbound,
+) {
     // Only `/v1/...` is served: an unversioned path maps to "", which
     // no arm matches, so it gets the 404.
     let path = req.path.strip_prefix("/v1").unwrap_or("");
@@ -956,44 +973,34 @@ fn route(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: &R
         ("POST", "/cluster/compact") => {
             // Compaction rewrites segments synchronously — off the loop
             // thread.
-            let shared = Arc::clone(shared);
-            let reply = reply.clone();
             let body = req.body.clone();
-            std::thread::Builder::new()
-                .name("serve-compact".to_string())
-                .spawn(move || {
-                    reply.send(cluster::compact_response(
-                        own_addr(&shared),
-                        shared.store.as_ref(),
-                        shared.store_suffix.clone(),
-                        &body,
-                    ));
-                })
-                .expect("spawn compact thread");
+            run_blocking(shared, reply, move |shared| {
+                cluster::compact_response(
+                    own_addr(shared),
+                    shared.store.as_ref(),
+                    shared.store_suffix.clone(),
+                    &body,
+                )
+            });
         }
         ("POST", "/cluster/migrate") => {
             // Both modes touch store I/O; initiate additionally blocks
             // on peer upstreams — off the loop thread.
-            let shared = Arc::clone(shared);
-            let reply = reply.clone();
             let body = req.body.clone();
-            std::thread::Builder::new()
-                .name("serve-migrate".to_string())
-                .spawn(move || {
-                    reply.send(cluster::migrate_response(
-                        own_addr(&shared),
-                        shared.store.as_ref(),
-                        &shared.cluster,
-                        &body,
-                    ));
-                })
-                .expect("spawn migrate thread");
+            run_blocking(shared, reply, move |shared| {
+                cluster::migrate_response(
+                    own_addr(shared),
+                    shared.store.as_ref(),
+                    &shared.cluster,
+                    &body,
+                )
+            });
         }
-        ("POST", "/predict") => predict(shared, req, trace, reply),
+        ("POST", "/predict") => predict(shared, req, trace, reply, out),
         ("GET", "/predict") => {
             reply.send(Response::error(405, "use POST /v1/predict"));
         }
-        ("POST", "/jobs") => submit_job(shared, req, trace, reply),
+        ("POST", "/jobs") => submit_job(shared, req, trace, reply, out),
         ("GET", "/jobs") => {
             reply.send(Response::error(405, "use POST /v1/jobs"));
         }
@@ -1027,20 +1034,9 @@ fn route(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: &R
             } else {
                 // Stitching fans out blocking sub-requests to peers —
                 // off the loop thread.
-                let shared = Arc::clone(shared);
-                let reply = reply.clone();
-                std::thread::Builder::new()
-                    .name("serve-stitch".to_string())
-                    .spawn(move || {
-                        reply.send(trace::debug_trace_response(
-                            &shared.tracing,
-                            &id_hex,
-                            false,
-                            jsonl,
-                            &peers,
-                        ));
-                    })
-                    .expect("spawn stitch thread");
+                run_blocking(shared, reply, move |shared| {
+                    trace::debug_trace_response(&shared.tracing, &id_hex, false, jsonl, &peers)
+                });
             }
         }
         ("GET", "/debug/traces") => {
@@ -1055,16 +1051,39 @@ fn route(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: &R
     }
 }
 
+/// Answer `reply` with `work`'s response, computed on the blocking pool
+/// (or the pool's 503 when it is full).
+fn run_blocking(
+    shared: &Arc<Shared>,
+    reply: &Reply,
+    work: impl FnOnce(&Shared) -> Response + Send + 'static,
+) {
+    let reply = reply.clone();
+    let worker = Arc::clone(shared);
+    shared.blocking.run(
+        move || work(&worker),
+        move |resp| {
+            reply.send(resp);
+        },
+    );
+}
+
 /// The address this daemon is known by: its ring entry when sharded,
 /// its configured listen address otherwise.
-fn own_addr(shared: &Arc<Shared>) -> &str {
+fn own_addr(shared: &Shared) -> &str {
     match &shared.shard {
         Some((_, own)) => own,
         None => &shared.cfg.addr,
     }
 }
 
-fn predict(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: &Reply) {
+fn predict(
+    shared: &Arc<Shared>,
+    req: &Request,
+    trace: &trace::ReqTrace,
+    reply: &Reply,
+    out: &mut eloop::Outbound,
+) {
     let m = &shared.metrics;
     m.requests_total.fetch_add(1, Ordering::Relaxed);
     let body = match std::str::from_utf8(&req.body) {
@@ -1077,7 +1096,10 @@ fn predict(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: 
             return;
         }
     };
-    let (norm, deadline_ms) = match NormalizedRequest::parse(body, &shared.resolver) {
+    let span = trace.begin_span("normalize");
+    let parsed = NormalizedRequest::parse(body, &shared.resolver);
+    trace.end_span(&span, &[]);
+    let (norm, deadline_ms) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
             m.client_errors.fetch_add(1, Ordering::Relaxed);
@@ -1102,25 +1124,17 @@ fn predict(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: 
                     .replica_reads
                     .fetch_add(1, Ordering::Relaxed);
             } else {
-                let rid = req.header("x-request-id").map(str::to_string);
                 // When the owner is down, retry its ring successors
                 // (the key's replicas) with `x-replica-read`.
-                let fallbacks: Vec<String> = shared
-                    .cluster
-                    .owners(norm.route_key())
-                    .into_iter()
-                    .filter(|a| a != owner)
-                    .collect();
-                forward_to_owner(
-                    shared,
-                    trace,
-                    reply,
-                    owner.to_string(),
-                    fallbacks,
-                    "/v1/predict",
-                    body.to_string(),
-                    rid,
+                let mut owners = vec![owner.to_string()];
+                owners.extend(
+                    shared
+                        .cluster
+                        .owners(norm.route_key())
+                        .into_iter()
+                        .filter(|a| a != owner),
                 );
+                forward_to_owner(shared, req, body, trace, reply, out, owners);
                 return;
             }
         }
@@ -1180,94 +1194,67 @@ fn predict(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: 
     );
 }
 
-/// Forward a request body to the shard owning its route key and relay
-/// the owner's response verbatim (plus an `x-shard` header naming it).
-/// When the owner is unreachable at the transport level, each address
-/// in `fallbacks` (the key's other replicas, in ring-successor order)
-/// is retried with `x-replica-read: 1` — the receiving replica answers
-/// from its own store instead of forwarding back to the dead owner.
-/// The forward blocks on upstream I/O, so it runs on its own thread,
-/// reusing a pooled upstream connection; the owner's request becomes a
-/// child of this hop's `forward` span, carried in `x-prophet-trace`.
-#[allow(clippy::too_many_arguments)]
+/// Forward `req` (whose body is `body`) to the shard owning its route
+/// key, `owners[0]`, and relay the owner's response verbatim (plus an
+/// `x-shard` header naming it). The forward is an outbound exchange on
+/// the event loop over a pooled upstream connection; when the owner is
+/// unreachable at the transport level, the request is re-issued to
+/// `owners[1..]` (the key's other replicas, in ring-successor order)
+/// with `x-replica-read: 1`, and the receiving replica answers from its
+/// own store instead of forwarding back to the dead owner. The owner's
+/// request becomes a child of this hop's `forward` span, carried in
+/// `x-prophet-trace`.
 fn forward_to_owner(
     shared: &Arc<Shared>,
+    req: &Request,
+    body: &str,
     trace: &trace::ReqTrace,
     reply: &Reply,
-    owner: String,
-    fallbacks: Vec<String>,
-    path: &'static str,
-    body: String,
-    rid: Option<String>,
+    out: &mut eloop::Outbound,
+    owners: Vec<String>,
 ) {
     shared.metrics.proxied_total.fetch_add(1, Ordering::Relaxed);
-    let shared = Arc::clone(shared);
-    let trace = trace.clone();
-    let reply = reply.clone();
-    std::thread::Builder::new()
-        .name("serve-forward".to_string())
-        .spawn(move || {
-            let fwd = trace.begin_span("forward");
-            let header = trace.propagation_header(&fwd);
-            let mut extra: Vec<(&str, &str)> = vec![("x-prophet-trace", &header)];
-            if let Some(rid) = &rid {
-                extra.push(("x-request-id", rid));
-            }
-            let t_fwd = Instant::now();
-            let result = shared
-                .upstreams
-                .request(&owner, "POST", path, Some(&body), &extra);
+    let fwd = trace.begin_span("forward");
+    let mut headers = vec![("x-prophet-trace", trace.propagation_header(&fwd))];
+    if let Some(rid) = req.header("x-request-id") {
+        headers.push(("x-request-id", rid.to_string()));
+    }
+    let t_fwd = Instant::now();
+    let errors = Arc::clone(shared);
+    let (shared, trace, reply) = (Arc::clone(shared), trace.clone(), reply.clone());
+    router::forward(
+        out,
+        router::Forward {
+            owners,
+            path: req.path.clone(),
+            body: body.to_string(),
+            headers,
+        },
+        move || {
+            errors.metrics.proxy_errors.fetch_add(1, Ordering::Relaxed);
+        },
+        move |done| {
             shared.metrics.observe_stage(
                 "forward",
                 u64::try_from(t_fwd.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
-            trace.end_span(&fwd, &[("owner", owner.clone())]);
-            match result {
-                Ok((status, _, resp_body)) => {
-                    reply.send(Response::json(status, resp_body).with_header("x-shard", owner));
-                }
-                Err(e) => {
-                    shared.metrics.proxy_errors.fetch_add(1, Ordering::Relaxed);
-                    let mut replica_extra = extra.clone();
-                    replica_extra.push(("x-replica-read", "1"));
-                    for replica in &fallbacks {
-                        let Ok((status, _, resp_body)) = shared.upstreams.request(
-                            replica,
-                            "POST",
-                            path,
-                            Some(&body),
-                            &replica_extra,
-                        ) else {
-                            shared.metrics.proxy_errors.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        };
-                        reply.send(
-                            Response::json(status, resp_body)
-                                .with_header("x-shard", replica.clone())
-                                .with_header("x-replica-read", "1"),
-                        );
-                        return;
-                    }
-                    let err = if fallbacks.is_empty() {
-                        ProphetError::Unavailable(format!("shard {owner} unreachable: {e}"))
-                    } else {
-                        ProphetError::ReplicaUnavailable(format!(
-                            "owner {owner} and {n} replica(s) unreachable",
-                            n = fallbacks.len()
-                        ))
-                    };
-                    reply.send(error_response(&err));
-                }
-            }
-        })
-        .expect("spawn forward thread");
+            trace.end_span(&fwd, &[("owner", done.shard)]);
+            reply.send(done.resp);
+        },
+    );
 }
 
 /// `POST /v1/jobs`: validate, route to the owning shard, then register
 /// and enqueue — answering immediately with the job's id and phase
 /// (202 for a fresh job, 200 when the same canonical query is already
 /// registered). The deadline bounds queue residence, not the poll loop.
-fn submit_job(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, reply: &Reply) {
+fn submit_job(
+    shared: &Arc<Shared>,
+    req: &Request,
+    trace: &trace::ReqTrace,
+    reply: &Reply,
+    out: &mut eloop::Outbound,
+) {
     let m = &shared.metrics;
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) => s,
@@ -1293,16 +1280,14 @@ fn submit_job(shared: &Arc<Shared>, req: &Request, trace: &trace::ReqTrace, repl
     if let Some((ring, own)) = &shared.shard {
         let owner = ring.owner(job.route_key());
         if owner != own {
-            let rid = req.header("x-request-id").map(str::to_string);
             forward_to_owner(
                 shared,
+                req,
+                body,
                 trace,
                 reply,
-                owner.to_string(),
-                Vec::new(),
-                "/v1/jobs",
-                body.to_string(),
-                rid,
+                out,
+                vec![owner.to_string()],
             );
             return;
         }
@@ -1386,26 +1371,19 @@ fn job_get(shared: &Arc<Shared>, req: &Request, id: &str, want_result: bool, rep
         return;
     }
     // The fan-out blocks on upstream I/O — off the loop thread.
-    let id = id.to_string();
-    let shared = Arc::clone(shared);
-    let reply = reply.clone();
-    std::thread::Builder::new()
-        .name("serve-jobfind".to_string())
-        .spawn(move || {
-            let tail = if want_result { "/result" } else { "" };
-            for peer in peers {
-                let path = format!("/v1/jobs/{id}{tail}?scope=local");
-                match shared.upstreams.request(&peer, "GET", &path, None, &[]) {
-                    Ok((404, _, _)) | Err(_) => continue,
-                    Ok((status, _, body)) => {
-                        reply.send(Response::json(status, body).with_header("x-shard", peer));
-                        return;
-                    }
+    let tail = if want_result { "/result" } else { "" };
+    let path = format!("/v1/jobs/{id}{tail}?scope=local");
+    run_blocking(shared, reply, move |_| {
+        for peer in peers {
+            match http::client_request(&peer, "GET", &path, None) {
+                Ok((404, _, _)) | Err(_) => continue,
+                Ok((status, _, body)) => {
+                    return Response::json(status, body).with_header("x-shard", peer);
                 }
             }
-            reply.send(Response::error(404, "unknown job id"));
-        })
-        .expect("spawn job lookup thread");
+        }
+        Response::error(404, "unknown job id")
+    });
 }
 
 /// The dedicated what-if worker: drain the job queue, run each analysis

@@ -208,6 +208,10 @@ impl ServerMetrics {
                 "serve.conn_header_timeouts_total",
                 c(&self.conns.header_timeouts_total),
             ),
+            (
+                "serve.wake_notifies_total",
+                c(&self.conns.wake_notifies_total),
+            ),
         ]
     }
 

@@ -11,17 +11,23 @@
 //!
 //! Transport-wise the router rides the same readiness-driven event
 //! loop as the daemons ([`crate::eloop`]): keep-alive client
-//! connections multiplex on one loop thread, and forwards reuse
-//! persistent upstream connections from an [`http::UpstreamPool`]
-//! instead of dialing the owning shard per request — the common case
-//! costs no TCP handshake on either side of the router.
+//! connections multiplex on one loop thread, and a forward is an
+//! [`Outbound`] exchange on that same thread, over a persistent
+//! upstream connection from the loop's per-shard idle pool. The common
+//! case costs no TCP handshake on either side of the router, no thread
+//! spawn and no cross-thread handoff: the shard's answer is read and
+//! relayed by the loop thread that parsed the request.
 //!
 //! `GET /v1/healthz` aggregates every shard's health; `GET /v1/metrics`
 //! fetches every shard's JSON metrics and merges them (counters and
 //! gauges summed, histograms added bucket-wise), adding the router's
-//! own forwarding counters under `router.*`. With tracing on, every
-//! forward carries `x-prophet-trace`, so the router hop and the shard
-//! hops stitch into one trace, retrievable through the router's own
+//! own forwarding counters under `router.*`. These read-only fan-outs
+//! (and `GET /v1/cluster`, `/v1/cluster/keys`) are one outbound request
+//! per shard joined on the loop. Compaction, migration and trace
+//! stitching block for longer and run on the bounded
+//! [`BlockingPool`]. With tracing on, every forward carries
+//! `x-prophet-trace`, so the router hop and the shard hops stitch into
+//! one trace, retrievable through the router's own
 //! `GET /v1/debug/trace/<id>`.
 
 use std::net::{SocketAddr, TcpListener};
@@ -32,8 +38,9 @@ use std::time::{Duration, Instant};
 use prophet_core::ProphetError;
 
 use crate::api::{self, error_response};
-use crate::eloop::{self, EventLoop, LoopConfig, ReqMeta, Responder};
-use crate::http::{self, client_request, Request, Response};
+use crate::eloop::{self, EventLoop, LoopConfig, Outbound, ReqMeta, Responder};
+use crate::http::{client_request, ClientResponse, Request, Response};
+use crate::pool::{self, BlockingPool};
 use crate::ring::ShardRing;
 use crate::{trace, NormalizedRequest, Resolver};
 
@@ -70,8 +77,8 @@ struct RouterShared {
     resolver: Resolver,
     metrics: RouterMetrics,
     conns: Arc<eloop::ConnStats>,
-    /// Persistent keep-alive connections to the shards.
-    upstreams: http::UpstreamPool,
+    /// Runs compaction, migration and trace stitching off the loop.
+    blocking: BlockingPool,
     /// Per-process tracing state.
     tracing: trace::Tracing,
     /// The router's own end-to-end predict latency, merged into
@@ -113,13 +120,19 @@ impl Router {
             resolver,
             metrics: RouterMetrics::default(),
             conns: Arc::new(eloop::ConnStats::default()),
-            upstreams: http::UpstreamPool::new(4),
+            blocking: BlockingPool::new(
+                "route-blocking",
+                pool::BLOCKING_THREADS,
+                pool::BLOCKING_QUEUE,
+            ),
             tracing,
             request_nanos: Mutex::new(prophet_obs::WallHistogram::new()),
         });
         let handler: eloop::Handler = {
             let shared = Arc::clone(&shared);
-            Arc::new(move |req, meta, responder| handle_request(&shared, req, meta, responder))
+            Arc::new(move |req, meta, responder, out: &mut Outbound| {
+                handle_request(&shared, req, meta, responder, out)
+            })
         };
         let eloop = EventLoop::start(
             listener,
@@ -165,9 +178,16 @@ impl RouterHandle {
 }
 
 /// The event-loop handler: per-request accounting plus dispatch. Runs
-/// on the loop thread; every endpoint that blocks on upstream I/O is
-/// handed to a short-lived thread.
-fn handle_request(shared: &Arc<RouterShared>, req: Request, meta: ReqMeta, responder: Responder) {
+/// on the loop thread: predicts and the read-only fan-outs are
+/// outbound exchanges on `out`, whose callbacks answer on this thread
+/// too; compaction, migration and stitching go to the blocking pool.
+fn handle_request(
+    shared: &Arc<RouterShared>,
+    req: Request,
+    meta: ReqMeta,
+    responder: Responder,
+    out: &mut Outbound,
+) {
     shared
         .metrics
         .requests_total
@@ -204,83 +224,76 @@ fn handle_request(shared: &Arc<RouterShared>, req: Request, meta: ReqMeta, respo
             .push(("x-prophet-trace", trace_hex.clone()));
         responder.send(resp);
     };
+    let addrs = shared.ring.addrs();
+    let shared = Arc::clone(shared);
 
     // Only `/v1/...` is served, like on the daemons themselves: an
     // unversioned path maps to "", which no arm matches (404).
     let path = req.path.strip_prefix("/v1").unwrap_or("").to_string();
     match (req.method.as_str(), path.as_str()) {
-        ("POST", "/predict") => {
-            let shared = Arc::clone(shared);
-            spawn_upstream("route-forward", move || {
-                send(forward_predict(&req, &shared, &trace));
-            });
-        }
-        ("GET", "/healthz") => {
-            let shared = Arc::clone(shared);
-            spawn_upstream("route-healthz", move || {
-                send(aggregate_healthz(&shared));
-            });
-        }
-        ("GET", "/metrics") => {
-            let shared = Arc::clone(shared);
-            spawn_upstream("route-metrics", move || {
-                send(merge_metrics(&req, &shared));
-            });
-        }
-        ("GET", "/cluster") => {
-            let shared = Arc::clone(shared);
-            spawn_upstream("route-cluster", move || {
-                send(aggregate_cluster_status(&shared));
-            });
-        }
+        ("POST", "/predict") => forward_predict(&req, &shared, &trace, out, send),
+        ("GET", "/healthz") => fan_out(out, addrs, "/v1/healthz", move |results| {
+            send(aggregate_healthz(&shared, results))
+        }),
+        ("GET", "/metrics") => fan_out(out, addrs, "/v1/metrics", move |results| {
+            send(merge_metrics(&shared, results))
+        }),
+        ("GET", "/cluster") => fan_out(out, addrs, "/v1/cluster", move |results| {
+            send(aggregate_cluster_status(&shared, results))
+        }),
         ("GET", "/cluster/keys") => {
-            let shared = Arc::clone(shared);
-            spawn_upstream("route-keys", move || {
-                send(aggregate_cluster_keys(&shared));
-            });
+            fan_out(out, addrs, "/v1/cluster/keys?scope=local", move |results| {
+                send(aggregate_cluster_keys(results))
+            })
         }
-        ("POST", "/cluster/compact") => {
-            let shared = Arc::clone(shared);
-            spawn_upstream("route-compact", move || {
-                send(fan_out_cluster(
-                    &shared,
+        ("POST", "/cluster/compact") => run_blocking(
+            &shared,
+            move |shared| {
+                fan_out_cluster(
+                    shared,
                     "/v1/cluster/compact",
                     &req.body,
                     |resp: api::ClusterCompactResponse, out: &mut api::ClusterCompactResponse| {
                         out.shards.extend(resp.shards)
                     },
-                ));
-            });
-        }
-        ("POST", "/cluster/migrate") => {
-            let shared = Arc::clone(shared);
-            spawn_upstream("route-migrate", move || {
-                send(fan_out_cluster(
-                    &shared,
+                )
+            },
+            send,
+        ),
+        ("POST", "/cluster/migrate") => run_blocking(
+            &shared,
+            move |shared| {
+                fan_out_cluster(
+                    shared,
                     "/v1/cluster/migrate",
                     &req.body,
                     |resp: api::ClusterMigrateResponse, out: &mut api::ClusterMigrateResponse| {
                         out.shards.extend(resp.shards)
                     },
-                ));
-            });
-        }
+                )
+            },
+            send,
+        ),
         ("GET", "/predict") => send(Response::error(405, "use POST /v1/predict")),
         ("GET", p) if p.starts_with("/debug/trace/") => {
             let id_hex = p["/debug/trace/".len()..].to_string();
             let local_only = req.query_param("scope") == Some("local");
             let jsonl = req.query_param("format") == Some("jsonl");
-            let shared = Arc::clone(shared);
-            spawn_upstream("route-stitch", move || {
-                // The router is not in the ring, so every shard is a peer.
-                send(trace::debug_trace_response(
-                    &shared.tracing,
-                    &id_hex,
-                    local_only,
-                    jsonl,
-                    shared.ring.addrs(),
-                ));
-            });
+            run_blocking(
+                &shared,
+                move |shared| {
+                    // The router is not in the ring, so every shard is a
+                    // peer.
+                    trace::debug_trace_response(
+                        &shared.tracing,
+                        &id_hex,
+                        local_only,
+                        jsonl,
+                        shared.ring.addrs(),
+                    )
+                },
+                send,
+            )
         }
         ("GET", "/debug/traces") => send(trace::debug_traces_response(&shared.tracing)),
         _ => send(Response::error(
@@ -290,11 +303,15 @@ fn handle_request(shared: &Arc<RouterShared>, req: Request, meta: ReqMeta, respo
     }
 }
 
-fn spawn_upstream(name: &str, f: impl FnOnce() + Send + 'static) {
-    std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(f)
-        .expect("spawn upstream thread");
+/// Hand `work`'s response to `send`, computed on the blocking pool (or
+/// the pool's 503 when it is full).
+fn run_blocking(
+    shared: &Arc<RouterShared>,
+    work: impl FnOnce(&RouterShared) -> Response + Send + 'static,
+    send: impl FnOnce(Response) + Send + 'static,
+) {
+    let worker = Arc::clone(shared);
+    shared.blocking.run(move || work(&worker), send);
 }
 
 /// The route key of a request body: the first resolved workload's cache
@@ -306,20 +323,25 @@ pub fn route_key(body: &str, resolver: &Resolver) -> Result<String, ProphetError
     Ok(norm.route_key().to_string())
 }
 
-fn forward_predict(req: &Request, shared: &Arc<RouterShared>, trace: &trace::ReqTrace) -> Response {
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => {
-            return error_response(&ProphetError::InvalidRequest(
-                "body is not UTF-8".to_string(),
-            ))
-        }
+fn forward_predict(
+    req: &Request,
+    shared: &Arc<RouterShared>,
+    trace: &trace::ReqTrace,
+    out: &mut Outbound,
+    send: impl FnOnce(Response) + Send + 'static,
+) {
+    let Ok(body) = std::str::from_utf8(&req.body) else {
+        return send(error_response(&ProphetError::InvalidRequest(
+            "body is not UTF-8".to_string(),
+        )));
     };
-    let key = match route_key(body, &shared.resolver) {
+    let span = trace.begin_span("route_key");
+    let key = route_key(body, &shared.resolver);
+    trace.end_span(&span, &[]);
+    let key = match key {
         Ok(k) => k,
-        Err(e) => return error_response(&e),
+        Err(e) => return send(error_response(&e)),
     };
-    let owners = shared.ring.owners(&key, shared.replicas);
     shared
         .metrics
         .forwarded_total
@@ -327,64 +349,181 @@ fn forward_predict(req: &Request, shared: &Arc<RouterShared>, trace: &trace::Req
     // The shard's request becomes a child of this forward span, carried
     // over the wire in `x-prophet-trace`.
     let fwd = trace.begin_span("forward");
-    let header = trace.propagation_header(&fwd);
-    let mut extra: Vec<(&str, &str)> = vec![("x-prophet-trace", &header)];
+    let mut headers = vec![("x-prophet-trace", trace.propagation_header(&fwd))];
     if let Some(rid) = req.header("x-request-id") {
-        extra.push(("x-request-id", rid));
+        headers.push(("x-request-id", rid.to_string()));
     }
-    // Owner first; on transport failure walk the key's replica set.
-    // `x-replica-read` tells a replica to answer from its own store
-    // instead of forwarding back to the (dead) owner.
-    let mut result = None;
-    let mut served_by: Option<&str> = None;
-    let mut failed_over = false;
-    for (i, addr) in owners.iter().enumerate() {
-        let mut hop = extra.clone();
-        if i > 0 {
-            hop.push(("x-replica-read", "1"));
-        }
-        match shared
-            .upstreams
-            .request(addr, "POST", "/v1/predict", Some(body), &hop)
-        {
-            Ok(resp) => {
-                result = Some(resp);
-                served_by = Some(addr);
-                failed_over = i > 0;
-                break;
-            }
-            Err(_) => {
-                shared
-                    .metrics
-                    .upstream_errors
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    let owner = owners.first().copied().unwrap_or_default();
-    trace.end_span(&fwd, &[("owner", served_by.unwrap_or(owner).to_string())]);
-    match result {
-        Some((status, _headers, resp_body)) => {
-            if failed_over {
+    let owners = shared.ring.owners(&key, shared.replicas);
+    let errors = Arc::clone(shared);
+    let (shared, trace) = (Arc::clone(shared), trace.clone());
+    forward(
+        out,
+        Forward {
+            owners: owners.into_iter().map(str::to_string).collect(),
+            path: req.path.clone(),
+            body: body.to_string(),
+            headers,
+        },
+        move || {
+            errors
+                .metrics
+                .upstream_errors
+                .fetch_add(1, Ordering::Relaxed);
+        },
+        move |done| {
+            trace.end_span(&fwd, &[("owner", done.shard)]);
+            if done.failed_over {
                 shared
                     .metrics
                     .replica_failovers
                     .fetch_add(1, Ordering::Relaxed);
             }
-            let shard = served_by.unwrap_or(owner).to_string();
-            let mut resp = Response::json(status, resp_body).with_header("x-shard", shard);
-            if failed_over {
-                resp = resp.with_header("x-replica-read", "1".to_string());
+            send(done.resp);
+        },
+    );
+}
+
+/// A request to forward along a key's owner list.
+pub(crate) struct Forward {
+    /// The key's owner first, then the replicas to fail over to, in
+    /// ring-successor order.
+    pub owners: Vec<String>,
+    pub path: String,
+    pub body: String,
+    /// Headers every attempt carries (trace propagation, request id).
+    pub headers: Vec<(&'static str, String)>,
+}
+
+/// How a [`forward`] ended.
+pub(crate) struct Forwarded {
+    /// The answering shard's status and body verbatim, plus `x-shard`
+    /// (and `x-replica-read: 1` from a replica); or the typed 503 when
+    /// no owner was reachable.
+    pub resp: Response,
+    /// The shard that answered, or the owner when none did.
+    pub shard: String,
+    /// A replica answered because the owner was unreachable.
+    pub failed_over: bool,
+}
+
+/// POST `fwd` to its owner on the event loop. On a transport error the
+/// request is re-issued to the next owner with `x-replica-read: 1`,
+/// which tells a replica to answer from its own store instead of
+/// forwarding back to the (dead) owner. `on_error` counts each failed
+/// attempt; `done` runs once, on the loop thread.
+pub(crate) fn forward(
+    out: &mut Outbound,
+    fwd: Forward,
+    on_error: impl Fn() + Send + 'static,
+    done: impl FnOnce(Forwarded) + Send + 'static,
+) {
+    attempt(out, Arc::new(fwd), 0, Box::new(on_error), Box::new(done));
+}
+
+fn attempt(
+    out: &mut Outbound,
+    fwd: Arc<Forward>,
+    i: usize,
+    on_error: Box<dyn Fn() + Send>,
+    done: Box<dyn FnOnce(Forwarded) + Send>,
+) {
+    let Some(addr) = fwd.owners.get(i) else {
+        return done(Forwarded {
+            resp: error_response(&ProphetError::Unavailable(
+                "no shard owns the key".to_string(),
+            )),
+            shard: String::new(),
+            failed_over: false,
+        });
+    };
+    let mut headers: Vec<(&str, &str)> =
+        fwd.headers.iter().map(|(k, v)| (*k, v.as_str())).collect();
+    if i > 0 {
+        headers.push(("x-replica-read", "1"));
+    }
+    let next = Arc::clone(&fwd);
+    out.request(
+        addr,
+        "POST",
+        &fwd.path,
+        &headers,
+        Some(&fwd.body),
+        move |result, out| {
+            let fwd = next;
+            match result {
+                Ok((status, _, body)) => {
+                    let shard = fwd.owners[i].clone();
+                    let mut resp =
+                        Response::json(status, body).with_header("x-shard", shard.clone());
+                    if i > 0 {
+                        resp = resp.with_header("x-replica-read", "1");
+                    }
+                    done(Forwarded {
+                        resp,
+                        shard,
+                        failed_over: i > 0,
+                    });
+                }
+                Err(_) if i + 1 < fwd.owners.len() => {
+                    on_error();
+                    attempt(out, fwd, i + 1, on_error, done);
+                }
+                Err(e) => {
+                    on_error();
+                    let owner = &fwd.owners[0];
+                    let err = if fwd.owners.len() > 1 {
+                        ProphetError::ReplicaUnavailable(format!(
+                            "owner {owner} and {} replica(s) unreachable",
+                            fwd.owners.len() - 1
+                        ))
+                    } else {
+                        ProphetError::Unavailable(format!("shard {owner} unreachable: {e}"))
+                    };
+                    done(Forwarded {
+                        resp: error_response(&err),
+                        shard: owner.clone(),
+                        failed_over: false,
+                    });
+                }
             }
-            resp
-        }
-        None if owners.len() > 1 => error_response(&ProphetError::ReplicaUnavailable(format!(
-            "owner {owner} and {} replica(s) unreachable",
-            owners.len() - 1
-        ))),
-        None => error_response(&ProphetError::Unavailable(format!(
-            "shard {owner} unreachable"
-        ))),
+        },
+    );
+}
+
+/// Every shard's answer to a fan-out, in ring order.
+type Answers = Vec<std::io::Result<ClientResponse>>;
+
+/// GET `path` from every address on the event loop; `done` runs once on
+/// the loop thread with every answer, in address order.
+fn fan_out(
+    out: &mut Outbound,
+    addrs: &[String],
+    path: &str,
+    done: impl FnOnce(Answers) + Send + 'static,
+) {
+    struct Join {
+        slots: Vec<Option<std::io::Result<ClientResponse>>>,
+        done: Option<Box<dyn FnOnce(Answers) + Send>>,
+    }
+    if addrs.is_empty() {
+        return done(Vec::new());
+    }
+    let join = Arc::new(Mutex::new(Join {
+        slots: addrs.iter().map(|_| None).collect(),
+        done: Some(Box::new(done)),
+    }));
+    for (i, addr) in addrs.iter().enumerate() {
+        let join = Arc::clone(&join);
+        out.request(addr, "GET", path, &[], None, move |result, _| {
+            let mut j = join.lock().expect("fan-out poisoned");
+            j.slots[i] = Some(result);
+            if j.slots.iter().all(Option::is_some) {
+                let answers = j.slots.drain(..).flatten().collect();
+                let done = j.done.take().expect("fan-out completes once");
+                drop(j);
+                done(answers);
+            }
+        });
     }
 }
 
@@ -392,15 +531,16 @@ fn forward_predict(req: &Request, shared: &Arc<RouterShared>, trace: &trace::Req
 /// with a one-element `shards` vector) and concatenate, stamping the
 /// router's ring view and replication factor on the envelope. Shards
 /// that don't answer appear as `alive: false` stubs, so the fleet view
-/// always lists the full membership.
-fn aggregate_cluster_status(shared: &Arc<RouterShared>) -> Response {
+/// always lists the full membership. `results` are the shards'
+/// answers in ring order.
+fn aggregate_cluster_status(shared: &RouterShared, results: Answers) -> Response {
     let mut out = api::ClusterStatusResponse {
         ring: shared.ring.addrs().to_vec(),
         replicas: shared.replicas as u64,
         shards: Vec::new(),
     };
-    for addr in shared.ring.addrs() {
-        let shard = match client_request(addr, "GET", "/v1/cluster", None) {
+    for (addr, result) in shared.ring.addrs().iter().zip(results) {
+        let shard = match result {
             Ok((200, _, body)) => serde_json::from_str::<api::ClusterStatusResponse>(&body).ok(),
             _ => None,
         };
@@ -421,12 +561,10 @@ fn aggregate_cluster_status(shared: &Arc<RouterShared>) -> Response {
 
 /// `GET /v1/cluster/keys`: concatenate every reachable shard's local
 /// key listing. Unreachable shards contribute no element.
-fn aggregate_cluster_keys(shared: &Arc<RouterShared>) -> Response {
+fn aggregate_cluster_keys(results: Answers) -> Response {
     let mut out = api::ClusterKeysResponse::default();
-    for addr in shared.ring.addrs() {
-        if let Ok((200, _, body)) =
-            client_request(addr, "GET", "/v1/cluster/keys?scope=local", None)
-        {
+    for result in results {
+        if let Ok((200, _, body)) = result {
             if let Ok(one) = serde_json::from_str::<api::ClusterKeysResponse>(&body) {
                 out.shards.extend(one.shards);
             }
@@ -444,7 +582,7 @@ fn aggregate_cluster_keys(shared: &Arc<RouterShared>) -> Response {
 /// the whole call into 503, since a partial compaction or migration
 /// must not read as a complete one.
 fn fan_out_cluster<R: Default + serde::Deserialize + serde::Serialize>(
-    shared: &Arc<RouterShared>,
+    shared: &RouterShared,
     path: &str,
     body: &[u8],
     merge: impl Fn(R, &mut R),
@@ -485,14 +623,11 @@ fn fan_out_cluster<R: Default + serde::Deserialize + serde::Serialize>(
     )
 }
 
-fn aggregate_healthz(shared: &Arc<RouterShared>) -> Response {
+fn aggregate_healthz(shared: &RouterShared, results: Answers) -> Response {
     let mut shards = Vec::new();
     let mut all_ok = true;
-    for addr in shared.ring.addrs() {
-        let ok = matches!(
-            client_request(addr, "GET", "/v1/healthz", None),
-            Ok((200, _, _))
-        );
+    for (addr, result) in shared.ring.addrs().iter().zip(results) {
+        let ok = matches!(result, Ok((200, _, _)));
         all_ok &= ok;
         shards.push(serde::Value::Object(vec![
             ("addr".to_string(), serde::Value::Str(addr.clone())),
@@ -521,14 +656,15 @@ fn aggregate_healthz(shared: &Arc<RouterShared>) -> Response {
 /// too — the rendered JSON carries each bucket's lower
 /// bound and count, and equal bucket layouts add bucket-wise, so the
 /// merged percentiles are exactly those of the pooled observations.
-fn merge_metrics(req: &Request, shared: &Arc<RouterShared>) -> Response {
+/// (`format=prom` is not offered on the merged endpoint.)
+fn merge_metrics(shared: &RouterShared, results: Answers) -> Response {
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut gauges: Vec<(String, f64)> = Vec::new();
     let mut hists: Vec<(String, prophet_obs::HistSnapshot)> = Vec::new();
     let mut shard_list = Vec::new();
     let mut reached = 0usize;
-    for addr in shared.ring.addrs() {
-        let ok = match client_request(addr, "GET", "/v1/metrics", None) {
+    for (addr, result) in shared.ring.addrs().iter().zip(results) {
+        let ok = match result {
             Ok((200, _, body)) => match serde_json::from_str::<serde::Value>(&body) {
                 Ok(value) => {
                     merge_section(&value, "counters", &mut counters, |v| {
@@ -608,7 +744,6 @@ fn merge_metrics(req: &Request, shared: &Arc<RouterShared>) -> Response {
     ));
     fields.push(("shards".to_string(), serde::Value::Array(shard_list)));
     let obj = serde::Value::Object(fields);
-    let _ = req; // format=prom is not offered on the merged endpoint
     Response::json(
         200,
         serde_json::to_string_pretty(&obj).expect("serialise metrics"),
@@ -646,6 +781,223 @@ fn merge_section<T: Copy + std::ops::Add<Output = T>>(
         match acc.iter_mut().find(|(k, _)| k == name) {
             Some((_, total)) => *total = *total + n,
             None => acc.push((name.clone(), n)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::{client_request, parse_request};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::thread::JoinHandle;
+
+    const CANNED: &str = r#"{"canned":"shard answer"}"#;
+    const BODY: &str = r#"{"workload":"t1-3","threads":[2],"predictors":["syn+mm"]}"#;
+
+    fn resolver() -> Resolver {
+        Arc::new(|list: &str| {
+            list.split(',')
+                .map(|tok| {
+                    tok.trim()
+                        .strip_prefix("t1-")
+                        .and_then(|s| s.parse::<u64>().ok())
+                        .map(sweep::WorkloadSpec::test1)
+                        .ok_or_else(|| format!("unknown workload '{tok}'"))
+                })
+                .collect()
+        })
+    }
+
+    /// What a fake shard does on one accepted connection.
+    #[derive(Clone, Copy)]
+    enum Script {
+        /// Answer `n` requests with [`CANNED`], then hang up as soon as
+        /// the next request arrives (a pooled connection the peer
+        /// reaped while the request was in flight) or the peer closes.
+        Answer(usize),
+        /// Answer one request, then close the idle connection.
+        AnswerThenClose,
+        /// Send the head and part of the body, then close mid-body.
+        ResetMidBody,
+    }
+
+    fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Option<Request> {
+        loop {
+            if let Ok(Some((req, n))) = parse_request(buf) {
+                buf.drain(..n);
+                return Some(req);
+            }
+            let mut chunk = [0u8; 4096];
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return None,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            }
+        }
+    }
+
+    /// Serve `scripts` on `listener`, one accepted connection each, and
+    /// return every request that arrived.
+    fn fake_shard(listener: TcpListener, scripts: Vec<Script>) -> JoinHandle<Vec<Request>> {
+        std::thread::spawn(move || {
+            let canned = format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\
+                 connection: keep-alive\r\n\r\n{CANNED}",
+                CANNED.len()
+            );
+            let mut seen = Vec::new();
+            for script in scripts {
+                let (mut stream, _) = listener.accept().expect("fake shard accepts");
+                let mut buf = Vec::new();
+                let answers = match script {
+                    Script::Answer(n) => n,
+                    Script::AnswerThenClose | Script::ResetMidBody => 1,
+                };
+                for _ in 0..answers {
+                    let Some(req) = read_request(&mut stream, &mut buf) else {
+                        break;
+                    };
+                    seen.push(req);
+                    let reply = match script {
+                        Script::ResetMidBody => {
+                            "HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\n{\"partial\"".to_string()
+                        }
+                        _ => canned.clone(),
+                    };
+                    stream
+                        .write_all(reply.as_bytes())
+                        .expect("fake shard writes");
+                }
+                if let Script::Answer(_) = script {
+                    seen.extend(read_request(&mut stream, &mut buf));
+                }
+            }
+            seen
+        })
+    }
+
+    fn start_router(shards: &[String], replicas: usize) -> RouterHandle {
+        Router::start(
+            RouterConfig {
+                addr: "127.0.0.1:0".to_string(),
+                shards: shards.to_vec(),
+                replicas,
+            },
+            resolver(),
+        )
+        .expect("router starts")
+    }
+
+    fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+        headers
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    #[test]
+    fn stale_pooled_upstream_redials_once_and_answers_identically() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shard = listener.local_addr().unwrap().to_string();
+        // Connection 1 answers, then hangs up on the next request; the
+        // retry dials connection 2, which answers and closes while idle;
+        // the third forward must dial connection 3.
+        let fake = fake_shard(
+            listener,
+            vec![
+                Script::Answer(1),
+                Script::AnswerThenClose,
+                Script::Answer(1),
+            ],
+        );
+        let router = start_router(std::slice::from_ref(&shard), 1);
+        let addr = router.local_addr().to_string();
+        for i in 0..3 {
+            if i == 2 {
+                // Let the loop see the idle close.
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let (status, headers, body) =
+                client_request(&addr, "POST", "/v1/predict", Some(BODY)).expect("routed predict");
+            assert_eq!(status, 200, "forward {i}");
+            assert_eq!(body, CANNED, "forward {i} must relay the shard's bytes");
+            assert_eq!(header(&headers, "x-shard"), Some(shard.as_str()));
+        }
+        assert_eq!(router.metrics().upstream_errors.load(Ordering::Relaxed), 0);
+        router.shutdown();
+        let seen = fake.join().unwrap();
+        // Forward 2 arrived twice: on the stale connection, then redialed.
+        assert_eq!(seen.len(), 4);
+        assert!(seen.iter().all(|r| r.body == BODY.as_bytes()));
+    }
+
+    #[test]
+    fn reset_mid_body_fails_over_to_a_replica_or_answers_503() {
+        let listeners: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<String> = listeners
+            .iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect();
+        let key = route_key(BODY, &resolver()).unwrap();
+        let ring = ShardRing::new(addrs.clone());
+        let owners = ring.owners(&key, 2);
+        let (owner, replica) = (owners[0].to_string(), owners[1].to_string());
+        let mut fakes = Vec::new();
+        for (l, addr) in listeners.into_iter().zip(&addrs) {
+            let scripts = if *addr == owner {
+                // Once for the replicated router, once for the lone one.
+                vec![Script::ResetMidBody, Script::ResetMidBody]
+            } else {
+                vec![Script::Answer(1)]
+            };
+            fakes.push((addr.clone(), fake_shard(l, scripts)));
+        }
+
+        let router = start_router(&addrs, 2);
+        let (status, headers, body) = client_request(
+            &router.local_addr().to_string(),
+            "POST",
+            "/v1/predict",
+            Some(BODY),
+        )
+        .expect("routed predict");
+        assert_eq!(status, 200);
+        assert_eq!(body, CANNED);
+        assert_eq!(header(&headers, "x-shard"), Some(replica.as_str()));
+        assert_eq!(header(&headers, "x-replica-read"), Some("1"));
+        assert_eq!(router.metrics().upstream_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            router.metrics().replica_failovers.load(Ordering::Relaxed),
+            1
+        );
+        router.shutdown();
+
+        // No replica to fail over to: a typed 503.
+        let lone = start_router(std::slice::from_ref(&owner), 1);
+        let (status, headers, body) = client_request(
+            &lone.local_addr().to_string(),
+            "POST",
+            "/v1/predict",
+            Some(BODY),
+        )
+        .expect("routed predict");
+        assert_eq!(status, 503);
+        assert!(body.contains(r#""code":"unavailable""#), "{body}");
+        assert_eq!(header(&headers, "retry-after"), Some("1"));
+        lone.shutdown();
+
+        for (addr, fake) in fakes {
+            let seen = fake.join().unwrap();
+            if addr == owner {
+                assert_eq!(seen.len(), 2);
+                assert!(seen.iter().all(|r| r.header("x-replica-read").is_none()));
+            } else {
+                assert_eq!(seen.len(), 1);
+                assert_eq!(seen[0].header("x-replica-read"), Some("1"));
+            }
         }
     }
 }

@@ -684,6 +684,43 @@ fn loadgen_keepalive_reuses_connections() {
     handle.shutdown();
 }
 
+/// (j2) an answer the loop thread sends itself writes no wake-pipe
+/// byte: 100 keep-alive result-cache hits record no wake-up. The cold
+/// request before them, answered by a batch worker, records one.
+#[test]
+fn inline_cache_hits_skip_the_wake_pipe() {
+    let handle = start_server(loopback_config());
+    let addr = handle.local_addr().to_string();
+    let mut conn = serve::http::ClientConn::connect(&addr).unwrap();
+    let wakes = || {
+        handle
+            .metrics()
+            .conns
+            .wake_notifies_total
+            .load(Ordering::Relaxed)
+    };
+    let (status, _, reference) = conn
+        .request("POST", "/v1/predict", Some(BODY_A), &[])
+        .unwrap();
+    assert_eq!(status, 200);
+    let after_cold = wakes();
+    assert!(after_cold >= 1, "the worker's answer wakes the loop");
+    for i in 0..100 {
+        let (status, headers, body) = conn
+            .request("POST", "/v1/predict", Some(BODY_A), &[])
+            .unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(header(&headers, "x-cache"), Some("hit"), "request {i}");
+        assert_eq!(body, reference);
+    }
+    assert_eq!(
+        wakes(),
+        after_cold,
+        "inline answers must not write the wake pipe"
+    );
+    handle.shutdown();
+}
+
 /// (k) the `/v1/jobs` batch path: submit → poll → result round-trips a
 /// what-if job; resubmission is idempotent; and the result bytes equal
 /// the library's own analysis — the same pin `prophet whatif --json`
