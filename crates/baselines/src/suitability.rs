@@ -17,10 +17,10 @@
 //! * out of the box it only predicts for power-of-two CPU counts; other
 //!   counts are interpolated (the paper interpolates 6/10/12 in Fig. 12).
 
-use ffemu::{predict, FfOptions, FfPrediction};
+use ffemu::{predict_flat, FfOptions, FfPrediction};
 use machsim::Schedule;
 use omp_rt::OmpOverheads;
-use proftree::ProgramTree;
+use proftree::{FlatTree, ProgramTree};
 
 /// Fixed overheads of the Suitability-like emulator: a heavy region fork
 /// cost, applied to *every* region entry including nested ones.
@@ -40,6 +40,7 @@ fn suitability_overheads() -> OmpOverheads {
 /// out-of-the-box the tool evaluates the nearest power-of-two counts and
 /// interpolates, which this reproduces.
 pub fn suitability_predict(tree: &ProgramTree, cpus: u32) -> FfPrediction {
+    let tree = &FlatTree::from_tree(tree);
     let cpus = cpus.max(1);
     if cpus.is_power_of_two() {
         return raw_predict(tree, cpus);
@@ -60,7 +61,7 @@ pub fn suitability_predict(tree: &ProgramTree, cpus: u32) -> FfPrediction {
     }
 }
 
-fn raw_predict(tree: &ProgramTree, cpus: u32) -> FfPrediction {
+fn raw_predict(tree: &FlatTree, cpus: u32) -> FfPrediction {
     let opts = FfOptions {
         cpus,
         schedule: Schedule::dynamic1(),
@@ -73,7 +74,7 @@ fn raw_predict(tree: &ProgramTree, cpus: u32) -> FfPrediction {
         model_pipelines: false,
         expand_runs: false,
     };
-    predict(tree, opts)
+    predict_flat(tree, opts)
 }
 
 /// Speedup curve over arbitrary CPU counts (interpolated off powers of
@@ -147,8 +148,8 @@ mod tests {
         }
         let tree = b.finish().unwrap();
         let suit = suitability_predict(&tree, 8);
-        let ff = predict(
-            &tree,
+        let ff = predict_flat(
+            &FlatTree::from_tree(&tree),
             FfOptions {
                 cpus: 8,
                 schedule: Schedule::dynamic1(),

@@ -3,7 +3,7 @@
 use machsim::prog::{POp, ParSection, ParallelProgram, TaskBody};
 use machsim::{MachineConfig, Schedule, WorkPacket};
 use omp_rt::OmpOverheads;
-use proftree::{ProgramTree, TreeBuilder};
+use proftree::{FlatTree, ProgramTree, TreeBuilder};
 use serde::Serialize;
 use std::rc::Rc;
 
@@ -43,7 +43,7 @@ pub fn fig5_tree() -> ProgramTree {
 
 /// Run the Fig. 5 experiment.
 pub fn run_fig5() -> Vec<Fig5Row> {
-    let tree = fig5_tree();
+    let tree = FlatTree::from_tree(&fig5_tree());
     let cases = [
         (Schedule::static1(), 1150u64, 1.30f64),
         (Schedule::static_block(), 1250, 1.20),
@@ -56,7 +56,7 @@ pub fn run_fig5() -> Vec<Fig5Row> {
         "schedule", "paper cyc", "FF cyc", "paper spd", "FF spd"
     );
     for (schedule, paper_cycles, paper_speedup) in cases {
-        let p = ffemu::predict(
+        let p = ffemu::predict_flat(
             &tree,
             ffemu::FfOptions {
                 cpus: 2,
@@ -167,8 +167,9 @@ pub fn run_fig7() -> Fig7Result {
     let real = total as f64 / stats.elapsed_cycles as f64;
 
     // FF: the documented round-robin misprediction.
-    let ff = ffemu::predict(
-        &tree,
+    let flat = FlatTree::from_tree(&tree);
+    let ff = ffemu::predict_flat(
+        &flat,
         ffemu::FfOptions {
             cpus: 2,
             schedule: Schedule::static1(),
@@ -188,7 +189,9 @@ pub fn run_fig7() -> Fig7Result {
     so.omp_overheads = OmpOverheads::zero();
     so.access_node_overhead = 0;
     so.recursive_call_overhead = 0;
-    let synthesizer = synthemu::predict(&tree, &so).expect("fig7 synth").speedup;
+    let synthesizer = synthemu::predict_flat(&flat, &so)
+        .expect("fig7 synth")
+        .speedup;
 
     println!("Fig. 7 — two-level nested loop on 2 cores (paper: Real 2.0, FF/Suit 1.5)");
     println!("  Real (machine):   {real:.2}");

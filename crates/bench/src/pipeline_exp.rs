@@ -37,6 +37,7 @@ pub fn run() -> Vec<SpeedupReport> {
             vec!["Real".into(), "FF".into(), "SYN".into(), "Suit".into()],
         );
         let suit = suitability_curve(&profiled.tree, &[2, 4, 6, 8]);
+        let flat = proftree::FlatTree::from_tree(&profiled.tree);
         for (i, &threads) in [2u32, 4, 6, 8].iter().enumerate() {
             // Restrict the machine to `threads` cores: a pipeline always
             // runs all its stage threads.
@@ -59,7 +60,7 @@ pub fn run() -> Vec<SpeedupReport> {
                 .speedup;
             let mut so = synthemu::SynthOptions::new(threads, Paradigm::OpenMp);
             so.machine = prophet.machine().with_cores(threads);
-            let syn = synthemu::predict(&profiled.tree, &so).expect("syn").speedup;
+            let syn = synthemu::predict_flat(&flat, &so).expect("syn").speedup;
             report.push_row(
                 threads,
                 vec![Some(real), Some(ff), Some(syn), Some(suit[i].1)],

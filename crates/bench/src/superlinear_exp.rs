@@ -68,7 +68,7 @@ pub fn run() -> SpeedupReport {
         let ff = |tree: &proftree::ProgramTree| {
             let mut o = prophet_core::ffemu::FfOptions::new(threads);
             o.schedule = Schedule::static_block();
-            prophet_core::ffemu::predict(tree, o).speedup
+            prophet_core::ffemu::predict_flat(&proftree::FlatTree::from_tree(tree), o).speedup
         };
         let pred_a4 = ff(&profiled.tree);
 

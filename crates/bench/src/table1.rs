@@ -6,7 +6,7 @@
 
 use baselines::{kismet_upper_bound, suitability_predict};
 use machsim::Schedule;
-use prophet_core::{Emulator, PredictOptions, Prophet};
+use prophet_core::{Emulator, PredictOptions};
 use serde::Serialize;
 use workloads::npb::Ft;
 use workloads::ompscr::{Fft, Lu};
@@ -173,19 +173,4 @@ pub fn run() -> Vec<Cell> {
     }
     println!("\n(Cilkview is omitted: it requires already-parallelised input — Table I row 1.)");
     cells
-}
-
-/// Convenience for other experiments: a prophet prediction of `profiled`.
-pub fn prophet_speedup(prophet: &Prophet, profiled: &prophet_core::Profiled, cores: u32) -> f64 {
-    prophet
-        .predict(
-            profiled,
-            &PredictOptions {
-                threads: cores,
-                emulator: Emulator::Synthesizer,
-                ..Default::default()
-            },
-        )
-        .expect("prediction")
-        .speedup
 }

@@ -724,10 +724,11 @@ fn main() {
             let obs = prophet_obs::ObsHandle::new(prophet_obs::Recorder::new());
             // Which engine generates events: the ground-truth machine run
             // by default, or an emulator when --emulator is given.
+            let flat = || proftree::FlatTree::from_tree(&profiled.tree);
             let track_cores = match args.emulator {
                 Some(Emulator::FastForward) => {
                     let p = ffemu::predict_with_obs(
-                        &profiled.tree,
+                        &flat(),
                         ffemu::FfOptions {
                             cpus: cores,
                             schedule: args.schedule,
@@ -747,7 +748,7 @@ fn main() {
                     so.machine = *prophet.machine();
                     so.schedule = args.schedule;
                     so.use_burden = args.memory_model;
-                    let p = synthemu::predict_with_obs(&profiled.tree, &so, obs.clone())
+                    let p = synthemu::predict_with_obs(&flat(), &so, obs.clone())
                         .unwrap_or_else(|e| die(&e.to_string()));
                     eprintln!(
                         "synthesizer: {:.2}x predicted at {cores} threads",
@@ -807,8 +808,8 @@ fn main() {
                     machine.publish_metrics(&mut m.registry);
                     // FF fast-path counters from a run-aware prediction at
                     // the same operating point.
-                    let (_, ffc) = ffemu::predict_counting(
-                        &profiled.tree,
+                    let (_, ffc) = ffemu::predict_counting_flat(
+                        &proftree::FlatTree::from_tree(&profiled.tree),
                         ffemu::FfOptions {
                             cpus: threads,
                             schedule: args.schedule,

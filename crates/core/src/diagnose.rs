@@ -7,11 +7,11 @@
 //! runtime overhead, free locks, perfect balance) and attributes the
 //! scalability loss to the factor whose removal buys the most time back.
 
-use ffemu::{predict, FfOptions};
+use ffemu::{predict_flat, FfOptions};
 use machsim::Schedule;
 use omp_rt::OmpOverheads;
 use proftree::stats::span_of;
-use proftree::{NodeKind, ProgramTree, WorkSummary};
+use proftree::{FlatTree, NodeKind, ProgramTree, WorkSummary};
 use serde::{Deserialize, Serialize};
 
 /// The dominant scalability limiter of one region.
@@ -101,8 +101,8 @@ fn isolate(tree: &ProgramTree, sec: proftree::NodeId) -> ProgramTree {
     ProgramTree::from_nodes(nodes)
 }
 
-fn probe(tree: &ProgramTree, opts: FfOptions) -> f64 {
-    predict(tree, opts).speedup
+fn probe(tree: &FlatTree, opts: FfOptions) -> f64 {
+    predict_flat(tree, opts).speedup
 }
 
 /// Diagnose every top-level region of `tree` at `threads`.
@@ -117,7 +117,7 @@ pub fn diagnose(tree: &ProgramTree, threads: u32, schedule: Schedule) -> Diagnos
         model_pipelines: true,
         expand_runs: false,
     };
-    let overall = predict(tree, base_opts);
+    let overall = predict_flat(&FlatTree::from_tree(tree), base_opts);
 
     let mut sections = Vec::new();
     for sec in tree.top_level_sections() {
@@ -126,19 +126,20 @@ pub fn diagnose(tree: &ProgramTree, threads: u32, schedule: Schedule) -> Diagnos
             _ => continue,
         };
         let iso = isolate(tree, sec);
+        let iso_flat = FlatTree::from_tree(&iso);
         let serial_cycles = tree.node(sec).length;
-        let speedup = probe(&iso, base_opts);
+        let speedup = probe(&iso_flat, base_opts);
 
         // Idealisation probes: remove one factor at a time.
         let no_memory = probe(
-            &iso,
+            &iso_flat,
             FfOptions {
                 use_burden: false,
                 ..base_opts
             },
         );
         let no_overhead = probe(
-            &iso,
+            &iso_flat,
             FfOptions {
                 overheads: OmpOverheads::zero(),
                 contended_lock_penalty: 0,
@@ -154,7 +155,7 @@ pub fn diagnose(tree: &ProgramTree, threads: u32, schedule: Schedule) -> Diagnos
                     t.node_mut(id).kind = NodeKind::U;
                 }
             }
-            probe(&t, base_opts)
+            probe(&FlatTree::from_tree(&t), base_opts)
         };
         // Perfect balance: the work/threads bound with burden applied.
         let burden = match &tree.node(sec).kind {

@@ -59,7 +59,7 @@ pub mod report;
 use cachesim::HierarchyConfig;
 use machsim::{MachineConfig, Paradigm, RunError, Schedule};
 use memmodel::{calibrate, CacheTrend, CalibrationOptions, MemCalibration};
-use proftree::ProgramTree;
+use proftree::{FlatTree, ProgramTree};
 use serde::{Deserialize, Serialize};
 use tracer::{AnnotatedProgram, ProfileOptions, ProfileResult};
 
@@ -397,10 +397,14 @@ impl Prophet {
         profiled: &Profiled,
         opts: &PredictOptions,
     ) -> Result<Prediction, RunError> {
+        self.predict_flat(&FlatTree::from_tree(&profiled.tree), opts)
+    }
+
+    fn predict_flat(&self, flat: &FlatTree, opts: &PredictOptions) -> Result<Prediction, RunError> {
         let (speedup, predicted, serial) = match opts.emulator {
             Emulator::FastForward => {
-                let p = ffemu::predict(
-                    &profiled.tree,
+                let p = ffemu::predict_flat(
+                    flat,
                     ffemu::FfOptions {
                         cpus: opts.threads,
                         schedule: opts.schedule,
@@ -418,7 +422,7 @@ impl Prophet {
                 so.machine = self.machine;
                 so.schedule = opts.schedule;
                 so.use_burden = opts.memory_model;
-                let p = synthemu::predict(&profiled.tree, &so)?;
+                let p = synthemu::predict_flat(flat, &so)?;
                 (p.speedup, p.predicted_cycles, p.serial_cycles)
             }
         };
@@ -442,6 +446,7 @@ impl Prophet {
         base: &PredictOptions,
         thread_counts: &[u32],
     ) -> Result<Vec<Prediction>, RunError> {
+        let flat = FlatTree::from_tree(&profiled.tree);
         let mut out = Vec::new();
         for &t in thread_counts {
             if base.emulator == Emulator::Synthesizer && t > self.machine.cores {
@@ -449,7 +454,7 @@ impl Prophet {
             }
             let mut o = *base;
             o.threads = t;
-            out.push(self.predict(profiled, &o)?);
+            out.push(self.predict_flat(&flat, &o)?);
         }
         Ok(out)
     }

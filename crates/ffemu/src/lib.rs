@@ -29,13 +29,9 @@
 //! The FF targets an abstract machine, so unlike the synthesizer it can
 //! predict for arbitrary CPU counts (Table III).
 //!
-//! The emulator core is generic over [`proftree::TreeView`]: the public
-//! entry points flatten the pointer tree into a [`FlatTree`] arena once
-//! and walk the contiguous run buffer ([`predict_flat`] skips even that
-//! conversion when the caller already holds an arena), while
-//! [`predict_ptr`] runs the identical monomorphised code over the
-//! pointer tree. Both views yield the same logical traversal, so the
-//! predictions are bit-identical (pinned in `tests/ff_runaware.rs`).
+//! The emulator walks a [`FlatTree`] arena, the only tree it accepts:
+//! the caller flattens a profiled tree once and reuses the arena for
+//! every grid point ([`predict_flat`], [`speedup_curve`]).
 //!
 //! **Closed forms.** The heap only has to order *side effects*: chunk
 //! requests to a shared dispenser, lock acquisitions, nested sections and
@@ -58,11 +54,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::marker::PhantomData;
 
 use machsim::Schedule;
 use omp_rt::{Dispenser, OmpOverheads};
-use proftree::{burden_factor, Cycles, FlatTree, LockId, NodeId, ProgramTree, TreeView, ViewKind};
+use proftree::{burden_factor, Cycles, FlatTree, LockId, NodeId, ViewKind};
 use serde::{Deserialize, Serialize};
 
 /// Record an event on the emulation's recorder at emulated time `$t`.
@@ -118,7 +113,7 @@ impl FfOptions {
 }
 
 /// Fast-path effectiveness counters from one FF prediction. Exposed via
-/// [`predict_counting`]; publish into a metrics registry with
+/// [`predict_counting_flat`]; publish into a metrics registry with
 /// [`publish_counters`]. Both stay zero on the per-op path
 /// (`expand_runs`, an attached recorder).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -158,10 +153,9 @@ struct RunCost {
     cost: Option<u64>,
 }
 
-/// Emulator state shared across a whole program emulation, generic over
-/// the tree representation.
-struct FfState<'t, V: TreeView<'t>> {
-    view: V,
+/// Emulator state shared across a whole program emulation.
+struct FfState<'t> {
+    tree: &'t FlatTree,
     opts: FfOptions,
     /// Global per-CPU busy-until clock (nested sections book time on other
     /// CPUs through this — the paper's round-robin nested model).
@@ -185,13 +179,12 @@ struct FfState<'t, V: TreeView<'t>> {
     counters: FfCounters,
     /// Structured event recorder (emulated-time timestamps).
     obs: Option<prophet_obs::ObsHandle>,
-    _tree: PhantomData<&'t ()>,
 }
 
-impl<'t, V: TreeView<'t>> FfState<'t, V> {
-    fn new(view: V, opts: FfOptions) -> Self {
+impl<'t> FfState<'t> {
+    fn new(tree: &'t FlatTree, opts: FfOptions) -> Self {
         FfState {
-            view,
+            tree,
             opts,
             cpu_time: vec![0; opts.cpus.max(1) as usize],
             lock_free: HashMap::new(),
@@ -202,7 +195,6 @@ impl<'t, V: TreeView<'t>> FfState<'t, V> {
             memo_burden: None,
             counters: FfCounters::default(),
             obs: None,
-            _tree: PhantomData,
         }
     }
 
@@ -215,7 +207,7 @@ impl<'t, V: TreeView<'t>> FfState<'t, V> {
 }
 
 /// Record the begin/end of a top-level emulated section span.
-fn obs_section_span<'t, V: TreeView<'t>>(st: &FfState<'t, V>, begin: bool, idx: usize, t: u64) {
+fn obs_section_span(st: &FfState<'_>, begin: bool, idx: usize, t: u64) {
     if let Some(h) = st.obs.as_ref() {
         let label = h.intern(&format!("sec{idx}"));
         let kind = if begin {
@@ -248,41 +240,17 @@ struct CpuRun {
     executed_any: bool,
 }
 
-/// Predict the speedup of `tree` under `opts`.
-///
-/// Flattens the tree into a [`FlatTree`] arena and emulates over the
-/// contiguous buffer; use [`predict_flat`] to amortise the conversion
-/// across predictions, or [`predict_ptr`] to force the pointer-tree
-/// walk (bit-identical, slower).
-pub fn predict(tree: &ProgramTree, opts: FfOptions) -> FfPrediction {
-    predict_counting(tree, opts).0
-}
-
-/// [`predict`], additionally returning the run-aware fast-path counters
-/// (`ff.runs_fastpathed` / `ff.iters_skipped`).
-pub fn predict_counting(tree: &ProgramTree, opts: FfOptions) -> (FfPrediction, FfCounters) {
-    let flat = FlatTree::from_tree(tree);
-    predict_counting_flat(&flat, opts)
-}
-
-/// Predict directly over a pre-built [`FlatTree`] arena.
+/// Predict the speedup of the flattened program tree `flat` under
+/// `opts`. Build the arena once per tree and reuse it for every
+/// prediction over it.
 pub fn predict_flat(flat: &FlatTree, opts: FfOptions) -> FfPrediction {
     predict_counting_flat(flat, opts).0
 }
 
-/// [`predict_flat`], additionally returning the fast-path counters.
+/// [`predict_flat`], additionally returning the run-aware fast-path
+/// counters (`ff.runs_fastpathed` / `ff.iters_skipped`).
 pub fn predict_counting_flat(flat: &FlatTree, opts: FfOptions) -> (FfPrediction, FfCounters) {
-    run_on(flat, opts)
-}
-
-/// Predict over the pointer tree without flattening — the baseline leg
-/// of the arena-vs-pointer benchmark and equivalence tests.
-pub fn predict_ptr(tree: &ProgramTree, opts: FfOptions) -> FfPrediction {
-    run_on(tree, opts).0
-}
-
-fn run_on<'t, V: TreeView<'t>>(view: V, opts: FfOptions) -> (FfPrediction, FfCounters) {
-    let mut st = FfState::new(view, opts);
+    let mut st = FfState::new(flat, opts);
     let p = predict_run(&mut st);
     (p, st.counters)
 }
@@ -294,29 +262,28 @@ pub fn publish_counters(c: &FfCounters, reg: &mut prophet_obs::MetricsRegistry) 
     reg.inc("ff.iters_skipped", c.iters_skipped);
 }
 
-/// [`predict`], recording heap pops, chunk dispatches, emulated lock
-/// events and section spans on `obs` with emulated-time timestamps.
+/// [`predict_flat`], recording heap pops, chunk dispatches, emulated
+/// lock events and section spans on `obs` with emulated-time timestamps.
 pub fn predict_with_obs(
-    tree: &ProgramTree,
+    flat: &FlatTree,
     opts: FfOptions,
     obs: prophet_obs::ObsHandle,
 ) -> FfPrediction {
-    let flat = FlatTree::from_tree(tree);
-    let mut st = FfState::new(&flat, opts);
+    let mut st = FfState::new(flat, opts);
     st.obs = Some(obs);
     predict_run(&mut st)
 }
 
-fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
-    let view = st.view;
+fn predict_run(st: &mut FfState<'_>) -> FfPrediction {
+    let tree = st.tree;
     let opts = st.opts;
-    let serial_cycles = view.total_length();
+    let serial_cycles = tree.total_length();
     let mut now = 0u64;
     let mut sections = Vec::new();
-    for child in view.expanded(view.root()) {
-        match view.kind(child) {
+    for child in tree.expanded(FlatTree::ROOT) {
+        match tree.kind(child) {
             ViewKind::U => {
-                now += view.length(child);
+                now += tree.length(child);
             }
             ViewKind::Sec { burden, .. } => {
                 let factor = if opts.use_burden {
@@ -331,7 +298,7 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
                 obs_section_span(st, true, sections.len(), now);
                 let end = emulate_section(st, child, 0, now, factor);
                 obs_section_span(st, false, sections.len(), end);
-                sections.push((view.length(child), end - now));
+                sections.push((tree.length(child), end - now));
                 now = end;
             }
             ViewKind::Pipe { burden, .. } => {
@@ -348,10 +315,10 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
                     emulate_pipe(st, child, now, factor)
                 } else {
                     // Tool without pipeline support: serial execution.
-                    now + scale(view.length(child), factor)
+                    now + scale(tree.length(child), factor)
                 };
                 obs_section_span(st, false, sections.len(), end);
-                sections.push((view.length(child), end - now));
+                sections.push((tree.length(child), end - now));
                 now = end;
             }
             other => unreachable!("invalid top-level node {}", other.tag()),
@@ -370,14 +337,9 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
 /// `burden`, returning the logical task count. A task's cost is memoized
 /// per node in the stamped `cost_stamp`/`cost_val` arena; the stamp moves
 /// only when the burden does, because the cost depends on nothing else.
-fn cost_runs<'t, V: TreeView<'t>>(
-    st: &mut FfState<'t, V>,
-    sec: NodeId,
-    burden: f64,
-    out: &mut Vec<RunCost>,
-) -> u64 {
-    let view = st.view;
-    let nc = view.node_count();
+fn cost_runs(st: &mut FfState<'_>, sec: NodeId, burden: f64, out: &mut Vec<RunCost>) -> u64 {
+    let tree = st.tree;
+    let nc = tree.len();
     if st.cost_stamp.len() < nc {
         st.cost_stamp.resize(nc, 0);
         st.cost_val.resize(nc, None);
@@ -389,13 +351,16 @@ fn cost_runs<'t, V: TreeView<'t>>(
     let stamp = st.stamp;
     out.clear();
     let mut n_total = 0u64;
-    for (task, count) in view.child_runs(sec) {
+    for run in tree.runs_of(sec) {
+        let (task, count) = (run.node, run.count);
         let ti = task as usize;
         if st.cost_stamp[ti] != stamp {
             let mut c = Some(st.opts.overheads.iter_start);
-            for (op, k) in view.child_runs(task) {
-                match (view.kind(op), c.as_mut()) {
-                    (ViewKind::U, Some(c)) => *c += k as u64 * scale(view.length(op), burden),
+            for op in tree.runs_of(task) {
+                match (tree.kind(op.node), c.as_mut()) {
+                    (ViewKind::U, Some(c)) => {
+                        *c += op.count as u64 * scale(tree.length(op.node), burden)
+                    }
                     _ => {
                         c = None;
                         break;
@@ -418,13 +383,7 @@ fn cost_runs<'t, V: TreeView<'t>>(
 
 /// Emulate one section hosted by `host`, starting at `start`. Returns the
 /// section end time (after the implicit barrier and join overhead).
-fn emulate_section<'t, V: TreeView<'t>>(
-    st: &mut FfState<'t, V>,
-    sec: NodeId,
-    host: usize,
-    start: u64,
-    burden: f64,
-) -> u64 {
+fn emulate_section(st: &mut FfState<'_>, sec: NodeId, host: usize, start: u64, burden: f64) -> u64 {
     let mut runs = st.run_cost_pool.pop().unwrap_or_default();
     let n_tasks = cost_runs(st, sec, burden, &mut runs);
     let end = if n_tasks == 0 {
@@ -447,8 +406,8 @@ fn emulate_section<'t, V: TreeView<'t>>(
 /// so every rank's final clock is `start + dispatches·dispatch_ovh +
 /// Σ_assigned (iter_start + body)`: a sum of the identical u64 terms the
 /// heap path accumulates one pop at a time, computed in O(ranks × runs).
-fn static_closed_form<'t, V: TreeView<'t>>(
-    st: &mut FfState<'t, V>,
+fn static_closed_form(
+    st: &mut FfState<'_>,
     runs: &[RunCost],
     n_total: u64,
     host: usize,
@@ -645,15 +604,15 @@ fn hand_out_batch(
 /// one op. Unless per-iteration expansion is forced, a `U`-only chunk is
 /// advanced in the same pop that dispatches it, and uniform stretches of
 /// a `dynamic`/`guided` section go out in batches ([`hand_out_batch`]).
-fn heap_section<'t, V: TreeView<'t>>(
-    st: &mut FfState<'t, V>,
+fn heap_section(
+    st: &mut FfState<'_>,
     runs: &[RunCost],
     n_tasks: u64,
     host: usize,
     start: u64,
     burden: f64,
 ) -> u64 {
-    let view = st.view;
+    let tree = st.tree;
     let n = st.cpu_time.len();
     let whole_chunks = st.closed_forms();
     let body_start = start + st.opts.overheads.parallel_start;
@@ -771,7 +730,7 @@ fn heap_section<'t, V: TreeView<'t>>(
                 // across the section's tasks, so steady state allocates
                 // nothing per task.
                 ranks[i].ops.clear();
-                ranks[i].ops.extend(view.expanded(task));
+                ranks[i].ops.extend(tree.expanded(task));
             }
             heap.push(Reverse((ranks[i].time, i)));
             continue;
@@ -779,9 +738,9 @@ fn heap_section<'t, V: TreeView<'t>>(
 
         // Execute exactly one op, then requeue.
         let op = ranks[i].ops.pop_front().expect("checked non-empty");
-        match view.kind(op) {
+        match tree.kind(op) {
             ViewKind::U => {
-                ranks[i].time += scale(view.length(op), burden);
+                ranks[i].time += scale(tree.length(op), burden);
             }
             ViewKind::L { lock } => {
                 let free = st.lock_free.get(&lock).copied().unwrap_or(0);
@@ -799,7 +758,7 @@ fn heap_section<'t, V: TreeView<'t>>(
                     );
                 }
                 let released =
-                    acquired + scale(view.length(op), burden) + st.opts.overheads.lock_release;
+                    acquired + scale(tree.length(op), burden) + st.opts.overheads.lock_release;
                 obs_at!(
                     st,
                     acquired,
@@ -843,32 +802,27 @@ fn heap_section<'t, V: TreeView<'t>>(
 /// machine has fewer CPUs than stages the OS time-slices the stage
 /// threads, so the emulated end is additionally lower-bounded by
 /// `work / cpus` (the resource limit).
-fn emulate_pipe<'t, V: TreeView<'t>>(
-    st: &mut FfState<'t, V>,
-    pipe: NodeId,
-    start: u64,
-    burden: f64,
-) -> u64 {
+fn emulate_pipe(st: &mut FfState<'_>, pipe: NodeId, start: u64, burden: f64) -> u64 {
     use std::collections::HashMap as Map;
-    let view = st.view;
+    let tree = st.tree;
     let n = st.cpu_time.len() as u64;
     let body_start = start + st.opts.overheads.parallel_start;
     let mut stage_clock: Map<u32, u64> = Map::new();
     let mut end = body_start;
     let mut total_work: u64 = 0;
-    for item in view.expanded(pipe) {
+    for item in tree.expanded(pipe) {
         let mut prev_stage_end = body_start;
-        for stage in view.expanded(item) {
-            let s = match view.kind(stage) {
+        for stage in tree.expanded(item) {
+            let s = match tree.kind(stage) {
                 ViewKind::Stage { stage } => stage,
                 other => unreachable!("invalid node under pipe item: {}", other.tag()),
             };
             let clock = stage_clock.entry(s).or_insert(body_start);
             let mut t = prev_stage_end.max(*clock) + st.opts.overheads.iter_start;
-            for op in view.expanded(stage) {
-                match view.kind(op) {
+            for op in tree.expanded(stage) {
+                match tree.kind(op) {
                     ViewKind::U => {
-                        let len = scale(view.length(op), burden);
+                        let len = scale(tree.length(op), burden);
                         total_work += len;
                         t += len;
                     }
@@ -879,7 +833,7 @@ fn emulate_pipe<'t, V: TreeView<'t>>(
                         if contended {
                             acquired += st.opts.contended_lock_penalty;
                         }
-                        let len = scale(view.length(op), burden);
+                        let len = scale(tree.length(op), burden);
                         total_work += len;
                         let released = acquired + len + st.opts.overheads.lock_release;
                         st.lock_free.insert(lock, released);
@@ -911,16 +865,14 @@ fn scale(len: Cycles, burden: f64) -> u64 {
 }
 
 /// Sweep CPU counts and return `(cpus, speedup)` pairs — the FF's
-/// signature ability to predict for arbitrary processor counts. The
-/// tree is flattened once for the whole sweep.
-pub fn speedup_curve(tree: &ProgramTree, base: FfOptions, cpu_counts: &[u32]) -> Vec<(u32, f64)> {
-    let flat = FlatTree::from_tree(tree);
+/// signature ability to predict for arbitrary processor counts.
+pub fn speedup_curve(flat: &FlatTree, base: FfOptions, cpu_counts: &[u32]) -> Vec<(u32, f64)> {
     cpu_counts
         .iter()
         .map(|&c| {
             let mut o = base;
             o.cpus = c;
-            (c, predict_flat(&flat, o).speedup)
+            (c, predict_flat(flat, o).speedup)
         })
         .collect()
 }
@@ -928,7 +880,15 @@ pub fn speedup_curve(tree: &ProgramTree, base: FfOptions, cpu_counts: &[u32]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proftree::TreeBuilder;
+    use proftree::{ProgramTree, TreeBuilder};
+
+    fn predict(tree: &ProgramTree, opts: FfOptions) -> FfPrediction {
+        predict_flat(&FlatTree::from_tree(tree), opts)
+    }
+
+    fn predict_counting(tree: &ProgramTree, opts: FfOptions) -> (FfPrediction, FfCounters) {
+        predict_counting_flat(&FlatTree::from_tree(tree), opts)
+    }
 
     fn zero_opts(cpus: u32, schedule: Schedule) -> FfOptions {
         FfOptions {
@@ -1101,7 +1061,7 @@ mod tests {
     fn speedup_curve_monotone_for_balanced_work() {
         let tree = lock_loop(&[(5000, 0, 0); 48]);
         let curve = speedup_curve(
-            &tree,
+            &FlatTree::from_tree(&tree),
             zero_opts(1, Schedule::static1()),
             &[1, 2, 4, 6, 8, 12],
         );
@@ -1146,31 +1106,6 @@ mod tests {
         let a = predict(&tree, zero_opts(6, Schedule::static1()));
         let b = predict(&ctree, zero_opts(6, Schedule::static1()));
         assert_eq!(a.predicted_cycles, b.predicted_cycles);
-    }
-
-    #[test]
-    fn flat_and_pointer_walks_agree_bit_for_bit() {
-        let iters: Vec<(u64, u64, u64)> = (0..57)
-            .map(|i| (100 + (i * 131) % 700, (i % 4) * 40, 30))
-            .collect();
-        let tree = lock_loop(&iters);
-        let (ctree, _) = proftree::compress_tree(&tree, proftree::CompressOptions::default());
-        for t in [&tree, &ctree] {
-            let flat = FlatTree::from_tree(t);
-            for cpus in [1u32, 3, 8] {
-                for sched in [
-                    Schedule::static_block(),
-                    Schedule::static1(),
-                    Schedule::dynamic1(),
-                ] {
-                    let a = predict_ptr(t, zero_opts(cpus, sched));
-                    let b = predict_flat(&flat, zero_opts(cpus, sched));
-                    assert_eq!(a.predicted_cycles, b.predicted_cycles);
-                    assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
-                    assert_eq!(a.sections, b.sections);
-                }
-            }
-        }
     }
 
     #[test]

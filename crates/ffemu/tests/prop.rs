@@ -3,11 +3,15 @@
 
 use proptest::prelude::*;
 
-use ffemu::{predict, FfOptions};
+use ffemu::{predict_flat, FfOptions, FfPrediction};
 use machsim::Schedule;
 use omp_rt::OmpOverheads;
 use proftree::stats::WorkSummary;
-use proftree::{ProgramTree, TreeBuilder};
+use proftree::{FlatTree, ProgramTree, TreeBuilder};
+
+fn predict(tree: &ProgramTree, opts: FfOptions) -> FfPrediction {
+    predict_flat(&FlatTree::from_tree(tree), opts)
+}
 
 #[derive(Debug, Clone)]
 struct LoopSpec {

@@ -13,10 +13,10 @@
 
 use proptest::prelude::*;
 
-use ffemu::{predict, FfOptions};
+use ffemu::{predict_flat, FfOptions};
 use machsim::Schedule;
 use omp_rt::OmpOverheads;
-use proftree::{BurdenTable, CompressOptions, NodeKind, ProgramTree, TreeBuilder};
+use proftree::{BurdenTable, CompressOptions, FlatTree, NodeKind, ProgramTree, TreeBuilder};
 
 /// One task body.
 #[derive(Debug, Clone)]
@@ -161,7 +161,7 @@ proptest! {
         // A tolerance far below one cycle in 40k merges equal tasks only.
         let exact = CompressOptions { tolerance: 1e-6, min_children: 2 };
         let (rle, _) = proftree::compress_tree(&tree, exact);
-        for t in [&tree, &rle] {
+        for t in [FlatTree::from_tree(&tree), FlatTree::from_tree(&rle)] {
             let fast = FfOptions {
                 cpus,
                 schedule: sched,
@@ -172,8 +172,8 @@ proptest! {
                 expand_runs: false,
             };
             let slow = FfOptions { expand_runs: true, ..fast };
-            let a = predict(t, fast);
-            let b = predict(t, slow);
+            let a = predict_flat(&t, fast);
+            let b = predict_flat(&t, slow);
             prop_assert_eq!(a.predicted_cycles, b.predicted_cycles);
             prop_assert_eq!(a.sections, b.sections);
         }

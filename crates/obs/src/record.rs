@@ -405,11 +405,6 @@ impl ObsHandle {
     pub fn with<R>(&self, f: impl FnOnce(&Recorder) -> R) -> R {
         f(&self.0.borrow())
     }
-
-    /// Run `f` with exclusive access to the recorder.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut Recorder) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
 }
 
 impl Default for ObsHandle {

@@ -1,4 +1,4 @@
-//! Flat arena program trees and the generic tree-view abstraction.
+//! Flat arena program trees: the one tree layout both emulators walk.
 //!
 //! A [`ProgramTree`] is already arena-allocated (ids index one `Vec`),
 //! but each node's child list is a separate heap allocation and the
@@ -15,8 +15,8 @@
 //!   stored subtree, so skipping a whole subtree is O(1) index
 //!   arithmetic instead of a recursive walk.
 //! * `runs` — one global RLE run table; a node's children are the slice
-//!   `runs[runs_at .. runs_at + runs_len]`, so `run_seq`-style
-//!   iteration scans a flat buffer. Plain child lists are stored as
+//!   `runs[runs_at .. runs_at + runs_len]`, so iterating child runs
+//!   scans a flat buffer. Plain child lists are stored as
 //!   count-1 runs (with the original `Plain`/`Rle` variant preserved in
 //!   a flag bit for lossless conversion back).
 //! * `burdens` / `mems` / `names` — flattened burden-table entries,
@@ -30,21 +30,20 @@
 //! The conversion is **lossless**: [`FlatTree::to_tree`] rebuilds the
 //! exact original [`ProgramTree`] — same node ids, same `Plain`/`Rle`
 //! child-list variants, same lengths, names, burden entries, and memory
-//! profiles — which is what lets the emulators adopt the flat view
-//! while every prediction stays byte-identical to the pointer path
-//! (pinned in `tests/ff_runaware.rs`).
+//! profiles — and every node's kind, length and child runs read back
+//! exactly as the source tree's (pinned by the `wire_and_flat_round_trip`
+//! property in `tests/prop.rs`).
 //!
-//! [`TreeView`] is the read-only trait both emulators are generic over:
-//! implemented for `&ProgramTree` (the pointer baseline) and
-//! `&FlatTree` (the default hot path), so the two instantiations are
-//! the *same* monomorphised arithmetic over different memory layouts.
+//! The emulators (`ffemu`, `synthemu`) take only `&FlatTree`. A caller
+//! flattens a tree once and reuses the arena for every prediction over
+//! it; node ids never enter a computed quantity, so predictions do not
+//! depend on the flat id order.
 
 use std::collections::HashMap;
 
 use crate::node::{
     BurdenTable, ChildList, Cycles, LockId, MemProfile, Node, NodeId, NodeKind, ProgramTree, Run,
 };
-use crate::visit::RunSeq;
 
 /// Node-kind values packed into the low bits of [`FlatNode::tag`].
 const K_ROOT: u8 = 0;
@@ -326,11 +325,6 @@ impl FlatTree {
         self.nodes[id as usize].length
     }
 
-    /// Total entries in the global run table.
-    pub fn run_table_len(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Total serial execution length (root length).
     pub fn total_length(&self) -> Cycles {
         self.nodes[Self::ROOT as usize].length
@@ -355,6 +349,38 @@ impl FlatTree {
             K_STAGE => ViewKind::Stage { stage: n.aux },
             other => unreachable!("corrupt flat tag {other}"),
         }
+    }
+
+    /// The logical children of `id` in order: each run's representative
+    /// repeated `count` times.
+    pub fn expanded(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.runs_of(id)
+            .iter()
+            .flat_map(|r| std::iter::repeat_n(r.node, r.count as usize))
+    }
+
+    /// Total length of top-level serial (U) computation under the root.
+    pub fn top_level_serial_length(&self) -> Cycles {
+        self.runs_of(Self::ROOT)
+            .iter()
+            .filter(|r| matches!(self.kind(r.node), ViewKind::U))
+            .map(|r| r.total_length)
+            .sum()
+    }
+
+    /// Flat ids of the top-level parallel regions (Sec/Pipe), in
+    /// program order.
+    pub fn top_level_regions(&self) -> Vec<NodeId> {
+        self.runs_of(Self::ROOT)
+            .iter()
+            .filter(|r| {
+                matches!(
+                    self.kind(r.node),
+                    ViewKind::Sec { .. } | ViewKind::Pipe { .. }
+                )
+            })
+            .map(|r| r.node)
+            .collect()
     }
 
     /// Approximate bytes of the flat representation (all arenas).
@@ -428,9 +454,8 @@ impl FlatTree {
     }
 }
 
-/// Borrowed view of one node's kind, shared by both [`TreeView`]
-/// implementations. Burden tables appear as their raw entry slices
-/// (feed them to [`crate::node::burden_factor`]).
+/// Borrowed view of one flat node's kind. Burden tables appear as their
+/// raw entry slices (feed them to [`crate::node::burden_factor`]).
 #[derive(Debug, Clone, Copy)]
 pub enum ViewKind<'a> {
     /// Whole-program node.
@@ -479,196 +504,6 @@ impl ViewKind<'_> {
             ViewKind::Pipe { .. } => "Pipe",
             ViewKind::Stage { .. } => "Stage",
         }
-    }
-}
-
-/// Iterator expanding `(node, count)` runs into the logical child
-/// sequence (the run-aware mirror of
-/// [`crate::visit::ExpandedChildren`], but over any [`TreeView`]).
-pub struct ExpandRuns<I> {
-    inner: I,
-    cur: Option<(NodeId, u32)>,
-}
-
-impl<I: Iterator<Item = (NodeId, u32)>> ExpandRuns<I> {
-    /// Expand the run iterator `inner`.
-    pub fn new(inner: I) -> Self {
-        ExpandRuns { inner, cur: None }
-    }
-}
-
-impl<I: Iterator<Item = (NodeId, u32)>> Iterator for ExpandRuns<I> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        loop {
-            if let Some((id, remaining)) = &mut self.cur {
-                if *remaining > 0 {
-                    *remaining -= 1;
-                    return Some(*id);
-                }
-                self.cur = None;
-            }
-            match self.inner.next() {
-                Some(run) => self.cur = Some(run),
-                None => return None,
-            }
-        }
-    }
-}
-
-/// Iterator over a flat node's child runs as `(node, count)` pairs.
-pub struct FlatRuns<'a> {
-    runs: std::slice::Iter<'a, FlatRun>,
-}
-
-impl Iterator for FlatRuns<'_> {
-    type Item = (NodeId, u32);
-
-    fn next(&mut self) -> Option<(NodeId, u32)> {
-        self.runs.next().map(|r| (r.node, r.count))
-    }
-}
-
-/// Read-only program-tree view the emulators are generic over.
-///
-/// Implemented for `&ProgramTree` (pointer baseline) and `&FlatTree`
-/// (contiguous arena, the default hot path). Both yield identical
-/// logical traversals — same child sequences, run multiplicities,
-/// lengths, and burden entries — so the monomorphised emulator
-/// arithmetic is bit-identical across implementations; only node *ids*
-/// differ (flat ids are DFS positions), and ids never enter any
-/// computed quantity.
-pub trait TreeView<'t>: Copy {
-    /// Iterator over one node's child runs as `(node, count)` pairs.
-    type Runs: Iterator<Item = (NodeId, u32)>;
-
-    /// Root node id.
-    fn root(self) -> NodeId;
-    /// Number of stored nodes (dense ids `0..node_count`).
-    fn node_count(self) -> usize;
-    /// The node's kind.
-    fn kind(self, id: NodeId) -> ViewKind<'t>;
-    /// The node's length in cycles.
-    fn length(self, id: NodeId) -> Cycles;
-    /// The node's child runs, in order.
-    fn child_runs(self, id: NodeId) -> Self::Runs;
-    /// The node's logical children (runs expanded), in order.
-    fn expanded(self, id: NodeId) -> ExpandRuns<Self::Runs> {
-        ExpandRuns::new(self.child_runs(id))
-    }
-    /// Total serial execution length (root length).
-    fn total_length(self) -> Cycles;
-    /// Total length of top-level serial (U) computation under the root.
-    fn top_level_serial_length(self) -> Cycles;
-    /// Ids of top-level parallel regions (Sec/Pipe) in program order.
-    fn top_level_regions(self) -> Vec<NodeId>;
-}
-
-impl<'t> TreeView<'t> for &'t ProgramTree {
-    type Runs = RunSeq<'t>;
-
-    fn root(self) -> NodeId {
-        ProgramTree::ROOT
-    }
-
-    fn node_count(self) -> usize {
-        self.len()
-    }
-
-    fn kind(self, id: NodeId) -> ViewKind<'t> {
-        match &self.node(id).kind {
-            NodeKind::Root => ViewKind::Root,
-            NodeKind::Sec {
-                name,
-                nowait,
-                burden,
-                ..
-            } => ViewKind::Sec {
-                name,
-                nowait: *nowait,
-                burden: burden.entries(),
-            },
-            NodeKind::Task { .. } => ViewKind::Task,
-            NodeKind::U => ViewKind::U,
-            NodeKind::L { lock } => ViewKind::L { lock: *lock },
-            NodeKind::Pipe { name, burden, .. } => ViewKind::Pipe {
-                name,
-                burden: burden.entries(),
-            },
-            NodeKind::Stage { stage } => ViewKind::Stage { stage: *stage },
-        }
-    }
-
-    fn length(self, id: NodeId) -> Cycles {
-        self.node(id).length
-    }
-
-    fn child_runs(self, id: NodeId) -> RunSeq<'t> {
-        RunSeq::new(self, id)
-    }
-
-    fn total_length(self) -> Cycles {
-        ProgramTree::total_length(self)
-    }
-
-    fn top_level_serial_length(self) -> Cycles {
-        ProgramTree::top_level_serial_length(self)
-    }
-
-    fn top_level_regions(self) -> Vec<NodeId> {
-        self.top_level_sections()
-    }
-}
-
-impl<'t> TreeView<'t> for &'t FlatTree {
-    type Runs = FlatRuns<'t>;
-
-    fn root(self) -> NodeId {
-        FlatTree::ROOT
-    }
-
-    fn node_count(self) -> usize {
-        self.len()
-    }
-
-    fn kind(self, id: NodeId) -> ViewKind<'t> {
-        FlatTree::kind(self, id)
-    }
-
-    fn length(self, id: NodeId) -> Cycles {
-        FlatTree::length(self, id)
-    }
-
-    fn child_runs(self, id: NodeId) -> FlatRuns<'t> {
-        FlatRuns {
-            runs: self.runs_of(id).iter(),
-        }
-    }
-
-    fn total_length(self) -> Cycles {
-        FlatTree::total_length(self)
-    }
-
-    fn top_level_serial_length(self) -> Cycles {
-        self.runs_of(FlatTree::ROOT)
-            .iter()
-            .filter(|r| matches!(self.kind(r.node), ViewKind::U))
-            .map(|r| r.total_length)
-            .sum()
-    }
-
-    fn top_level_regions(self) -> Vec<NodeId> {
-        self.runs_of(FlatTree::ROOT)
-            .iter()
-            .filter(|r| {
-                matches!(
-                    self.kind(r.node),
-                    ViewKind::Sec { .. } | ViewKind::Pipe { .. }
-                )
-            })
-            .map(|r| r.node)
-            .collect()
     }
 }
 
@@ -756,44 +591,43 @@ mod tests {
     fn view_matches_pointer_view() {
         let tree = rle_tree();
         let flat = FlatTree::from_tree(&tree);
-        let pv: &ProgramTree = &tree;
-        let fv: &FlatTree = &flat;
-        assert_eq!(pv.total_length(), fv.total_length());
+        assert_eq!(tree.total_length(), flat.total_length());
         assert_eq!(
-            TreeView::top_level_serial_length(pv),
-            TreeView::top_level_serial_length(fv)
+            tree.top_level_serial_length(),
+            flat.top_level_serial_length()
         );
         // Regions agree modulo the id mapping.
-        let pr = TreeView::top_level_regions(pv);
-        let fr = TreeView::top_level_regions(fv);
-        assert_eq!(pr, fr.iter().map(|&f| flat.orig_id(f)).collect::<Vec<_>>());
+        let fr = flat.top_level_regions();
+        assert_eq!(
+            tree.top_level_sections(),
+            fr.iter().map(|&f| flat.orig_id(f)).collect::<Vec<_>>()
+        );
         // Every node's expanded child sequence agrees modulo mapping,
         // and kinds/lengths/burdens line up.
         for o in 0..tree.len() as NodeId {
             let f = flat.flat_id(o);
-            assert_eq!(pv.length(o), fv.length(f), "node {o}");
-            let pk = pv.kind(o);
-            let fk = fv.kind(f);
-            assert_eq!(pk.tag(), fk.tag(), "node {o}");
+            assert_eq!(tree.node(o).length, flat.length(f), "node {o}");
+            assert_eq!(tree.node(o).kind.tag(), flat.kind(f).tag(), "node {o}");
             if let (
-                ViewKind::Sec {
+                NodeKind::Sec {
                     name: pn,
                     nowait: pw,
                     burden: pb,
+                    ..
                 },
                 ViewKind::Sec {
                     name: fname,
                     nowait: fw,
                     burden: fb,
                 },
-            ) = (pk, fk)
+            ) = (&tree.node(o).kind, flat.kind(f))
             {
                 assert_eq!(pn, fname);
-                assert_eq!(pw, fw);
-                assert_eq!(pb, fb);
+                assert_eq!(*pw, fw);
+                assert_eq!(pb.entries(), fb);
             }
-            let pe: Vec<NodeId> = pv.expanded(o).collect();
-            let fe: Vec<NodeId> = fv.expanded(f).map(|c| flat.orig_id(c)).collect();
+            let pe: Vec<NodeId> = crate::visit::expanded_children(&tree, o).collect();
+            let fe: Vec<NodeId> = flat.expanded(f).map(|c| flat.orig_id(c)).collect();
             assert_eq!(pe, fe, "node {o}");
         }
     }

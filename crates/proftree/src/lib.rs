@@ -37,10 +37,10 @@ pub mod wire;
 
 pub use builder::{BuildError, TreeBuilder};
 pub use compress::{compress_tree, CompressOptions, CompressStats};
-pub use flat::{ExpandRuns, FlatRun, FlatTree, TreeView, ViewKind};
+pub use flat::{FlatRun, FlatTree, ViewKind};
 pub use node::{
     burden_factor, BurdenTable, ChildList, Cycles, LockId, MemProfile, Node, NodeId, NodeKind,
     ProgramTree, Run,
 };
 pub use stats::{TreeStats, WorkSummary};
-pub use visit::{ChildEntries, ExpandedChildren, RunSeq, TaskSeq};
+pub use visit::{ChildEntries, ExpandedChildren, TaskSeq};

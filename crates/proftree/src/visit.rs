@@ -1,8 +1,10 @@
 //! Traversal helpers that transparently expand compressed child lists.
 //!
-//! Emulators iterate the *logical* children of a node: an RLE run of count
-//! `k` yields its representative node id `k` times. Because run members are
-//! equal within the compression tolerance, replaying the representative is
+//! The ground-truth runner and the analyses iterate the *logical*
+//! children of a node (the emulators do the same over
+//! [`crate::FlatTree`]): an RLE run of count `k` yields its
+//! representative node id `k` times. Because run members are equal
+//! within the compression tolerance, replaying the representative is
 //! exactly the paper's compression semantics (§VI-B).
 
 use crate::node::{ChildList, NodeId, NodeKind, ProgramTree, Run};
@@ -68,46 +70,10 @@ pub fn expanded_children(tree: &ProgramTree, id: NodeId) -> ExpandedChildren<'_>
     ExpandedChildren::new(tree, id)
 }
 
-/// Iterator over the children of one node as `(node, count)` runs,
-/// without expansion: an RLE run of count `k` is yielded once with its
-/// multiplicity, and a plain child once with count 1. Flattening the runs
-/// (`k` copies of each node) reproduces [`ExpandedChildren`]'s sequence
-/// exactly, so run-aware consumers can process whole runs in closed form
-/// and still agree with per-iteration traversals.
-pub struct RunSeq<'a> {
-    state: RunState<'a>,
-}
-
+/// A node's child list, unexpanded: plain ids or RLE runs.
 enum RunState<'a> {
     Plain(std::slice::Iter<'a, NodeId>),
     Rle(std::slice::Iter<'a, Run>),
-}
-
-impl<'a> RunSeq<'a> {
-    /// The child runs of `id` in order.
-    pub fn new(tree: &'a ProgramTree, id: NodeId) -> Self {
-        let state = match &tree.node(id).children {
-            ChildList::Plain(v) => RunState::Plain(v.iter()),
-            ChildList::Rle(runs) => RunState::Rle(runs.iter()),
-        };
-        RunSeq { state }
-    }
-}
-
-impl<'a> Iterator for RunSeq<'a> {
-    type Item = (NodeId, u32);
-
-    fn next(&mut self) -> Option<(NodeId, u32)> {
-        match &mut self.state {
-            RunState::Plain(it) => it.next().map(|&id| (id, 1)),
-            RunState::Rle(runs) => runs.next().map(|r| (r.node, r.count)),
-        }
-    }
-}
-
-/// Convenience: child runs of `id` as `(node, count)` pairs.
-pub fn run_seq(tree: &ProgramTree, id: NodeId) -> RunSeq<'_> {
-    RunSeq::new(tree, id)
 }
 
 /// Iterator over the children of one node as `(node, count, total_length)`
@@ -276,28 +242,6 @@ mod tests {
         let tree = rle_tree();
         let kids: Vec<_> = expanded_children(&tree, 2).collect();
         assert_eq!(kids, vec![3]);
-    }
-
-    #[test]
-    fn run_seq_yields_runs_without_expansion() {
-        let tree = rle_tree();
-        let runs: Vec<_> = run_seq(&tree, 1).collect();
-        assert_eq!(runs, vec![(2, 3), (4, 2)]);
-        // Plain children come out as count-1 runs.
-        let plain: Vec<_> = run_seq(&tree, 2).collect();
-        assert_eq!(plain, vec![(3, 1)]);
-    }
-
-    #[test]
-    fn run_seq_flattens_to_expanded_children() {
-        let tree = rle_tree();
-        for id in [0u32, 1, 2, 4] {
-            let flat: Vec<_> = run_seq(&tree, id)
-                .flat_map(|(n, k)| std::iter::repeat_n(n, k as usize))
-                .collect();
-            let expanded: Vec<_> = expanded_children(&tree, id).collect();
-            assert_eq!(flat, expanded, "node {id}");
-        }
     }
 
     #[test]

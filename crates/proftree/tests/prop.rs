@@ -1,8 +1,88 @@
 //! Property-based tests for program-tree construction and compression.
 
-use proftree::visit::logical_node_count;
-use proftree::{compress_tree, CompressOptions, ProgramTree, TreeBuilder, WorkSummary};
+use proftree::visit::{expanded_children, logical_node_count};
+use proftree::{
+    compress_tree, ChildList, CompressOptions, FlatTree, NodeId, NodeKind, ProgramTree,
+    TreeBuilder, ViewKind, WorkSummary,
+};
 use proptest::prelude::*;
+
+/// A node kind's emulator-visible fields: tag, region name, `nowait`,
+/// burden entries, and lock id or stage index.
+type KindKey<'a> = (&'static str, &'a str, bool, &'a [(u32, f64)], u32);
+
+fn tree_kind(k: &NodeKind) -> KindKey<'_> {
+    match k {
+        NodeKind::Sec {
+            name,
+            nowait,
+            burden,
+            ..
+        } => ("Sec", name, *nowait, burden.entries(), 0),
+        NodeKind::Pipe { name, burden, .. } => ("Pipe", name, false, burden.entries(), 0),
+        NodeKind::L { lock } => ("L", "", false, &[], *lock),
+        NodeKind::Stage { stage } => ("Stage", "", false, &[], *stage),
+        other => (other.tag(), "", false, &[], 0),
+    }
+}
+
+fn flat_kind(k: ViewKind<'_>) -> KindKey<'_> {
+    match k {
+        ViewKind::Sec {
+            name,
+            nowait,
+            burden,
+        } => ("Sec", name, nowait, burden, 0),
+        ViewKind::Pipe { name, burden } => ("Pipe", name, false, burden, 0),
+        ViewKind::L { lock } => ("L", "", false, &[], lock),
+        ViewKind::Stage { stage } => ("Stage", "", false, &[], stage),
+        other => (other.tag(), "", false, &[], 0),
+    }
+}
+
+/// The arena reads back `tree` exactly, node by node through
+/// `flat_id`: kind, length, child runs and logical children, plus the
+/// top-level regions and serial length the emulators start from.
+fn assert_flat_reads_back(
+    tree: &ProgramTree,
+    flat: &FlatTree,
+) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(flat.len(), tree.len());
+    prop_assert_eq!(flat.total_length(), tree.total_length());
+    for o in tree.ids() {
+        let node = tree.node(o);
+        let f = flat.flat_id(o);
+        prop_assert_eq!(flat.orig_id(f), o);
+        prop_assert_eq!(flat_kind(flat.kind(f)), tree_kind(&node.kind), "node {}", o);
+        prop_assert_eq!(flat.length(f), node.length, "node {}", o);
+        let runs: Vec<(NodeId, u32, u64)> = flat
+            .runs_of(f)
+            .iter()
+            .map(|r| (flat.orig_id(r.node), r.count, r.total_length))
+            .collect();
+        let want: Vec<(NodeId, u32, u64)> = match &node.children {
+            ChildList::Plain(v) => v.iter().map(|&c| (c, 1, tree.node(c).length)).collect(),
+            ChildList::Rle(rs) => rs
+                .iter()
+                .map(|r| (r.node, r.count, r.total_length))
+                .collect(),
+        };
+        prop_assert_eq!(runs, want, "node {}", o);
+        let logical: Vec<NodeId> = flat.expanded(f).map(|c| flat.orig_id(c)).collect();
+        prop_assert_eq!(logical, expanded_children(tree, o).collect::<Vec<_>>());
+    }
+    let regions: Vec<NodeId> = flat
+        .top_level_regions()
+        .iter()
+        .map(|&f| flat.orig_id(f))
+        .collect();
+    prop_assert_eq!(regions, tree.top_level_sections());
+    prop_assert_eq!(
+        flat.top_level_serial_length(),
+        tree.top_level_serial_length()
+    );
+    Ok(())
+}
 
 /// A recipe for building a random but *valid* annotated program.
 #[derive(Debug, Clone)]
@@ -148,7 +228,9 @@ proptest! {
 
     /// The wire codec and the flat arena are both lossless for any
     /// built tree, plain or compressed: encode→decode reproduces the
-    /// identical `ProgramTree`, and so does `FlatTree::to_tree`.
+    /// identical `ProgramTree`, and so does `FlatTree::to_tree`. The
+    /// arena also reads back every node as the emulators see it
+    /// ([`assert_flat_reads_back`]).
     #[test]
     fn wire_and_flat_round_trip(steps in proptest::collection::vec(step_strategy(), 1..6)) {
         let tree = build(&steps);
@@ -162,8 +244,9 @@ proptest! {
             prop_assert_eq!(at, buf.len(), "decode must consume the whole buffer");
             prop_assert_eq!(&back, t);
 
-            let flat = proftree::FlatTree::from_tree(t);
+            let flat = FlatTree::from_tree(t);
             prop_assert_eq!(&flat.to_tree(), t);
+            assert_flat_reads_back(t, &flat)?;
         }
     }
 }

@@ -43,15 +43,6 @@ pub struct PredictRequest {
 }
 
 impl PredictRequest {
-    /// A request predicting `workloads` with every other axis at its
-    /// default.
-    pub fn for_workloads(workloads: impl Into<String>) -> Self {
-        PredictRequest {
-            workload: Some(workloads.into()),
-            ..PredictRequest::default()
-        }
-    }
-
     /// Serialize to the JSON body the daemon accepts.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("serialise predict request")

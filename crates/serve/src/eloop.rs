@@ -1,9 +1,9 @@
 //! Readiness-driven event loop: the serve fleet's transport.
 //!
-//! One thread owns a poller (raw `epoll(7)` FFI on Linux, `poll(2)` on
-//! other unix — consistent with the repo's no-async-stack constraint
-//! and the raw `signal(2)` FFI in [`crate::signal`]), a table of
-//! non-blocking connections, and a hashed timer wheel. Everything
+//! One thread owns a poller (raw `epoll(7)` FFI — consistent with the
+//! repo's no-async-stack constraint and the raw `signal(2)` FFI in
+//! [`crate::signal`]), a table of non-blocking connections, and a
+//! hashed timer wheel. Everything
 //! blocking stays off this thread: prediction batching runs on the
 //! worker pool, slow admin work on the bounded [`crate::pool`]; they
 //! hand their [`Response`] back through a one-shot [`Responder`] that
@@ -1373,8 +1373,8 @@ impl LoopState {
     }
 }
 
-/// Platform pollers. Linux gets raw `epoll(7)`; other unix falls back
-/// to `poll(2)`. Both expose the same minimal API.
+/// The Linux poller (raw `epoll(7)`), nonblocking connect and the
+/// wake pipe.
 mod sys {
     use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
     use std::os::raw::c_int;
@@ -1402,7 +1402,6 @@ mod sys {
     /// Start a nonblocking TCP connect to `addr`. The connect usually
     /// completes later (`EINPROGRESS`): the socket turns writable and
     /// `take_error` reports the outcome.
-    #[cfg(target_os = "linux")]
     pub fn connect_nonblocking(addr: &str) -> std::io::Result<TcpStream> {
         use std::os::unix::io::FromRawFd;
         extern "C" {
@@ -1461,14 +1460,6 @@ mod sys {
         Ok(stream)
     }
 
-    /// Other unix: a blocking connect, then nonblocking I/O.
-    #[cfg(not(target_os = "linux"))]
-    pub fn connect_nonblocking(addr: &str) -> std::io::Result<TcpStream> {
-        let stream = TcpStream::connect(resolve(addr)?)?;
-        stream.set_nonblocking(true)?;
-        Ok(stream)
-    }
-
     /// One readiness event, normalised across backends.
     pub struct Event {
         pub token: u64,
@@ -1491,10 +1482,7 @@ mod sys {
     const F_SETFD: c_int = 2;
     const F_SETFL: c_int = 4;
     const FD_CLOEXEC: c_int = 1;
-    #[cfg(target_os = "linux")]
     const O_NONBLOCK: c_int = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: c_int = 0x4;
 
     /// Self-pipe used to wake the loop from other threads. Both fds are
     /// non-blocking; a full pipe on `notify` is fine (a wakeup is
@@ -1553,12 +1541,8 @@ mod sys {
         }
     }
 
-    #[cfg(not(target_os = "linux"))]
-    pub use fallback::Poller;
-    #[cfg(target_os = "linux")]
     pub use linux::Poller;
 
-    #[cfg(target_os = "linux")]
     mod linux {
         use super::{close, Event, RawFd};
         use std::os::raw::c_int;
@@ -1692,113 +1676,6 @@ mod sys {
                 unsafe {
                     close(self.epfd);
                 }
-            }
-        }
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    mod fallback {
-        use super::{Event, RawFd};
-        use std::os::raw::{c_int, c_short, c_uint};
-        use std::time::Duration;
-
-        const POLLIN: c_short = 0x1;
-        const POLLOUT: c_short = 0x4;
-        const POLLERR: c_short = 0x8;
-        const POLLHUP: c_short = 0x10;
-        const POLLNVAL: c_short = 0x20;
-
-        #[repr(C)]
-        struct PollFd {
-            fd: c_int,
-            events: c_short,
-            revents: c_short,
-        }
-
-        extern "C" {
-            fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
-        }
-
-        /// `poll(2)` fallback for non-Linux unix; interest is tracked in
-        /// userspace.
-        pub struct Poller {
-            entries: Vec<(RawFd, u64, bool, bool)>,
-        }
-
-        impl Poller {
-            pub fn new() -> std::io::Result<Poller> {
-                Ok(Poller {
-                    entries: Vec::new(),
-                })
-            }
-
-            pub fn add(&mut self, fd: RawFd, token: u64, r: bool, w: bool) -> std::io::Result<()> {
-                self.entries.push((fd, token, r, w));
-                Ok(())
-            }
-
-            pub fn modify(
-                &mut self,
-                fd: RawFd,
-                token: u64,
-                r: bool,
-                w: bool,
-            ) -> std::io::Result<()> {
-                for e in &mut self.entries {
-                    if e.0 == fd {
-                        *e = (fd, token, r, w);
-                        return Ok(());
-                    }
-                }
-                self.entries.push((fd, token, r, w));
-                Ok(())
-            }
-
-            pub fn remove(&mut self, fd: RawFd) -> std::io::Result<()> {
-                self.entries.retain(|e| e.0 != fd);
-                Ok(())
-            }
-
-            pub fn wait(
-                &mut self,
-                out: &mut Vec<Event>,
-                timeout: Option<Duration>,
-            ) -> std::io::Result<()> {
-                out.clear();
-                let mut fds: Vec<PollFd> = self
-                    .entries
-                    .iter()
-                    .map(|&(fd, _, r, w)| PollFd {
-                        fd,
-                        events: (if r { POLLIN } else { 0 }) | (if w { POLLOUT } else { 0 }),
-                        revents: 0,
-                    })
-                    .collect();
-                let timeout_ms: c_int = match timeout {
-                    Some(d) => d.as_millis().min(i32::MAX as u128) as c_int,
-                    None => -1,
-                };
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_uint, timeout_ms) };
-                if n < 0 {
-                    let err = std::io::Error::last_os_error();
-                    if err.kind() == std::io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(err);
-                }
-                for (pfd, &(_, token, _, _)) in fds.iter().zip(self.entries.iter()) {
-                    if pfd.revents == 0 {
-                        continue;
-                    }
-                    out.push(Event {
-                        token,
-                        readable: pfd.revents & POLLIN != 0,
-                        writable: pfd.revents & POLLOUT != 0,
-                        error: pfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
-                        rdhup: false,
-                    });
-                }
-                Ok(())
             }
         }
     }

@@ -57,6 +57,9 @@
 //! [`jobs`]; error bodies carry the stable codes of
 //! [`ProphetError::code`].
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("prophet-serve supports Linux only: its event loop and signal handling call epoll(7) and signal(2) directly");
+
 pub mod api;
 pub mod cluster;
 pub mod eloop;

@@ -2,7 +2,7 @@
 //!
 //! The workspace is offline (no `signal-hook`/`ctrlc` crates), so this
 //! registers handlers through libc's `signal(2)` directly — std already
-//! links libc on unix targets. The handler stores to a static atomic
+//! links libc on Linux. The handler stores to a static atomic
 //! and writes one byte to a self-pipe, both async-signal-safe;
 //! [`wait_for_shutdown`] blocks reading that pipe, so the caller runs
 //! the graceful drain on a normal thread as soon as the signal lands.
@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 mod pipe {
     use std::os::raw::c_int;
     use std::sync::atomic::{AtomicI32, Ordering};
@@ -27,10 +26,7 @@ mod pipe {
     const F_SETFD: c_int = 2;
     const F_SETFL: c_int = 4;
     const FD_CLOEXEC: c_int = 1;
-    #[cfg(target_os = "linux")]
     const O_NONBLOCK: c_int = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: c_int = 0x4;
 
     /// Read and write ends of the wake pipe; -1 until [`open`] ran, or
     /// when `pipe(2)` failed (waiters then poll the flag).
@@ -89,7 +85,6 @@ mod pipe {
     }
 }
 
-#[cfg(unix)]
 extern "C" fn on_signal(_signum: i32) {
     SHUTDOWN.store(true, Ordering::SeqCst);
     pipe::wake();
@@ -97,7 +92,6 @@ extern "C" fn on_signal(_signum: i32) {
 
 /// Install SIGINT and SIGTERM handlers that set the shutdown flag and
 /// wake [`wait_for_shutdown`].
-#[cfg(unix)]
 pub fn install_handlers() {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
@@ -115,16 +109,11 @@ pub fn install_handlers() {
     }
 }
 
-/// Non-unix fallback: no handlers, the flag stays false.
-#[cfg(not(unix))]
-pub fn install_handlers() {}
-
-/// Block until a handler installed by [`install_handlers`] has run. On
-/// unix this sleeps in `read(2)` on the self-pipe and returns as soon as
-/// the signal lands; without a pipe it polls the flag every 50 ms.
+/// Block until a handler installed by [`install_handlers`] has run.
+/// This sleeps in `read(2)` on the self-pipe and returns as soon as the
+/// signal lands; if `pipe(2)` failed it polls the flag every 50 ms.
 pub fn wait_for_shutdown() {
     while !SHUTDOWN.load(Ordering::SeqCst) {
-        #[cfg(unix)]
         if pipe::block() {
             continue;
         }
@@ -132,7 +121,7 @@ pub fn wait_for_shutdown() {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;

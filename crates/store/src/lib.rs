@@ -12,11 +12,10 @@
 //!
 //! * [`ProfileStore`] — an append-only on-disk log of binary-encoded
 //!   [`Profiled`] trees with CRC-checked records, a manifest updated by
-//!   atomic rename, and an LRU-bounded decode cache. On Linux the valid
-//!   prefix of the log is mapped read-only with `mmap(2)`, so a decode
-//!   reads payload bytes straight out of the page cache with zero
-//!   copies; elsewhere (and for records appended after open) reads fall
-//!   back to plain `seek + read`.
+//!   atomic rename, and an LRU-bounded decode cache. The valid prefix
+//!   of the log is mapped read-only with `mmap(2)`, so a decode reads
+//!   payload bytes straight out of the page cache with zero copies;
+//!   records appended after open are read with plain `seek + read`.
 //! * [`KeyedStore`] — the adapter wiring a store into the sweep
 //!   engine's [`ProfileCache`](sweep::ProfileCache): it namespaces every
 //!   workload cache key with the owning prophet's calibration and
@@ -100,6 +99,11 @@
 //! owned [`Profiled`] values under the store lock — so the unmap cannot
 //! race a reader.
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "prophet-store supports Linux only: it maps segments with mmap(2) and fsyncs its directory"
+);
+
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -150,12 +154,9 @@ fn add_elapsed(counter: &AtomicU64, t0: Instant) {
 }
 
 /// fsync a store directory so the renames and file creations inside it
-/// are durable. A no-op off unix, where directories cannot be opened.
+/// are durable.
 fn sync_dir(dir: &std::path::Path) -> Result<(), ProphetError> {
-    #[cfg(unix)]
     fs::File::open(dir)?.sync_all()?;
-    #[cfg(not(unix))]
-    let _ = dir;
     Ok(())
 }
 
@@ -186,10 +187,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc ^ 0xffff_ffff
 }
 
-/// Read-only memory mapping of the log's valid prefix. Linux gets raw
-/// `mmap(2)`; other platforms get a stub that always declines, pushing
-/// every read through the buffered fallback.
-#[cfg(target_os = "linux")]
+/// Read-only memory mapping of the log's valid prefix, through raw
+/// `mmap(2)`.
 mod map {
     use std::os::raw::{c_int, c_void};
     use std::os::unix::io::AsRawFd;
@@ -256,25 +255,6 @@ mod map {
             unsafe {
                 munmap(self.ptr, self.len);
             }
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod map {
-    /// Stub mapping for non-Linux hosts: never maps, so every read
-    /// takes the buffered path.
-    pub struct Mapping;
-
-    impl Mapping {
-        /// Always `None` off Linux.
-        pub fn new(_file: &std::fs::File, _len: u64) -> Option<Mapping> {
-            None
-        }
-
-        /// Empty — the stub holds no bytes.
-        pub fn bytes(&self) -> &[u8] {
-            &[]
         }
     }
 }
@@ -580,8 +560,8 @@ struct SegmentState {
     name: String,
     file: fs::File,
     /// Read-only mapping of the valid prefix (see the crate docs for
-    /// the lifetime rules). `None` off Linux, for an empty file, or
-    /// when the kernel declined the map. Sealed segments are immutable
+    /// the lifetime rules). `None` for an empty file, or when the
+    /// kernel declined the map. Sealed segments are immutable
     /// so their mapping covers the whole valid length; the active log's
     /// mapping covers only the prefix that existed at open.
     map: Option<map::Mapping>,
@@ -1546,29 +1526,6 @@ impl ProfileStore {
         self.reclaimed_bytes
             .fetch_add(report.reclaimed_bytes, Ordering::Relaxed);
         Ok(report)
-    }
-
-    /// Export the current counters into an observability registry under
-    /// `store.*` names.
-    pub fn export_metrics(&self, registry: &mut prophet_obs::MetricsRegistry) {
-        let s = self.stats();
-        registry.set_gauge("store.hits", s.hits as f64);
-        registry.set_gauge("store.misses", s.misses as f64);
-        registry.set_gauge("store.writes", s.writes as f64);
-        registry.set_gauge("store.corrupt_skipped", s.corrupt_skipped as f64);
-        registry.set_gauge("store.records", s.records as f64);
-        registry.set_gauge("store.decode_hits", s.decode_hits as f64);
-        registry.set_gauge("store.decode_misses", s.decode_misses as f64);
-        registry.set_gauge("store.disk_bytes", s.disk_bytes as f64);
-        registry.set_gauge("store.live_bytes", s.live_bytes as f64);
-        registry.set_gauge("store.dead_bytes", s.dead_bytes as f64);
-        registry.set_gauge("store.segments", s.segments as f64);
-        registry.set_gauge("store.compactions", s.compactions as f64);
-        registry.set_gauge("store.reclaimed_bytes", s.reclaimed_bytes as f64);
-        registry.set_gauge("store.syncs", s.syncs as f64);
-        let (read_nanos, write_nanos) = self.io_nanos();
-        registry.set_gauge("store.read_nanos", read_nanos as f64);
-        registry.set_gauge("store.write_nanos", write_nanos as f64);
     }
 }
 

@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use prophet_core::machsim::{MachineConfig, Paradigm, Schedule};
 use prophet_core::omp_rt::OmpOverheads;
+use prophet_core::proftree::FlatTree;
 use prophet_core::tracer::AnnotatedProgram;
 use prophet_core::{baselines, ffemu, synthemu, Profiled, Prophet};
 use rayon::prelude::*;
@@ -696,13 +697,21 @@ impl SweepEngine {
 
     /// Evaluate an explicit job list (for irregular grids where each
     /// workload carries its own schedule/paradigm, e.g. Fig. 12).
+    ///
+    /// Each workload's tree is flattened at most once per call, by the
+    /// first FF or SYN job that needs it; every later emulator job over
+    /// that workload reuses the arena.
     pub fn run_jobs(&self, workloads: &[WorkloadSpec], jobs: &[SweepJob]) -> SweepResult {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.jobs)
             .build()
             .expect("sweep thread pool");
-        let evaluated: Vec<Option<SweepPoint>> =
-            pool.install(|| jobs.par_iter().map(|j| self.eval(workloads, j)).collect());
+        let flats: Vec<OnceLock<FlatTree>> = workloads.iter().map(|_| OnceLock::new()).collect();
+        let evaluated: Vec<Option<SweepPoint>> = pool.install(|| {
+            jobs.par_iter()
+                .map(|j| self.eval(workloads, &flats[j.workload], j))
+                .collect()
+        });
         let jobs_total = jobs.len();
         let points: Vec<SweepPoint> = evaluated.into_iter().flatten().collect();
         SweepResult {
@@ -727,8 +736,14 @@ impl SweepEngine {
     }
 
     /// Evaluate one job. `None` = deterministically skipped (synthesizer
-    /// thread count beyond the target machine's cores).
-    fn eval(&self, workloads: &[WorkloadSpec], job: &SweepJob) -> Option<SweepPoint> {
+    /// thread count beyond the target machine's cores). `arena` holds
+    /// the job's workload tree, flattened by the first emulator job.
+    fn eval(
+        &self,
+        workloads: &[WorkloadSpec],
+        arena: &OnceLock<FlatTree>,
+        job: &SweepJob,
+    ) -> Option<SweepPoint> {
         let machine = job
             .overrides
             .machine
@@ -747,6 +762,7 @@ impl SweepEngine {
         );
 
         let predict_t0 = std::time::Instant::now();
+        let flat = || arena.get_or_init(|| FlatTree::from_tree(&profiled.tree));
         let (speedup, predicted_cycles, serial_cycles) = match job.spec.predictor {
             SweepPredictor::Real => {
                 let mut opts = RealOptions::new(job.threads, job.paradigm, job.schedule);
@@ -758,8 +774,8 @@ impl SweepEngine {
                 (r.speedup, r.elapsed_cycles, r.serial_cycles)
             }
             SweepPredictor::Ff => {
-                let p = ffemu::predict(
-                    &profiled.tree,
+                let p = ffemu::predict_flat(
+                    flat(),
                     ffemu::FfOptions {
                         cpus: job.threads,
                         schedule: job.schedule,
@@ -786,7 +802,7 @@ impl SweepEngine {
                 if let Some(oh) = job.overrides.omp_overheads {
                     so.omp_overheads = oh;
                 }
-                let p = synthemu::predict(&profiled.tree, &so).expect("synthesizer run");
+                let p = synthemu::predict_flat(flat(), &so).expect("synthesizer run");
                 (p.speedup, p.predicted_cycles, p.serial_cycles)
             }
             SweepPredictor::Suit => {

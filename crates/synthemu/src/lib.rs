@@ -31,14 +31,13 @@
 //! real machine").
 
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::rc::Rc;
 
 use cilk_rt::{run_program_cilk_on, CilkOverheads};
 use machsim::prog::{POp, ParSection, Paradigm, ParallelProgram, Schedule, TaskBody, TaskList};
 use machsim::{MachineConfig, RunError, WorkPacket};
 use omp_rt::{run_program_on, OmpOverheads};
-use proftree::{burden_factor, FlatTree, NodeId, ProgramTree, TreeView, ViewKind};
+use proftree::{burden_factor, FlatTree, NodeId, ViewKind};
 use serde::{Deserialize, Serialize};
 
 /// Options for one synthesizer prediction.
@@ -117,9 +116,9 @@ pub struct SynthPrediction {
     pub sections: Vec<SectionEmul>,
 }
 
-/// IR generation state for one section, generic over the tree view.
-struct Gen<'t, V: TreeView<'t>> {
-    view: V,
+/// IR generation state for one section.
+struct Gen<'t> {
+    tree: &'t FlatTree,
     factor: f64,
     opts: SynthOptions,
     memo: HashMap<NodeId, Rc<TaskBody>>,
@@ -128,10 +127,9 @@ struct Gen<'t, V: TreeView<'t>> {
     ovh_memo: HashMap<NodeId, u64>,
     /// Total synthesizer-overhead cycles emitted (logical).
     overhead_emitted: u64,
-    _tree: PhantomData<&'t ()>,
 }
 
-impl<'t, V: TreeView<'t>> Gen<'t, V> {
+impl Gen<'_> {
     fn scale(&self, len: u64) -> u64 {
         if (self.factor - 1.0).abs() < 1e-12 {
             len
@@ -159,13 +157,13 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
             return b;
         }
         let mut ops = Vec::new();
-        let view = self.view;
-        for child in view.expanded(task) {
-            match view.kind(child) {
+        let tree = self.tree;
+        for child in tree.expanded(task) {
+            match tree.kind(child) {
                 ViewKind::U => {
                     self.overhead_emitted += self.opts.access_node_overhead;
                     ops.push(POp::Work(WorkPacket::cpu(
-                        self.scale(view.length(child)) + self.opts.access_node_overhead,
+                        self.scale(tree.length(child)) + self.opts.access_node_overhead,
                     )));
                 }
                 ViewKind::L { lock } => {
@@ -175,7 +173,7 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
                     }
                     ops.push(POp::Locked {
                         lock,
-                        work: WorkPacket::cpu(self.scale(view.length(child))),
+                        work: WorkPacket::cpu(self.scale(tree.length(child))),
                     });
                 }
                 ViewKind::Sec { .. } => {
@@ -198,13 +196,13 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
     /// Convert the U/L children of a Stage node into stage ops.
     fn stage_ops(&mut self, stage: NodeId) -> Vec<POp> {
         let mut ops = Vec::new();
-        let view = self.view;
-        for child in view.expanded(stage) {
-            match view.kind(child) {
+        let tree = self.tree;
+        for child in tree.expanded(stage) {
+            match tree.kind(child) {
                 ViewKind::U => {
                     self.overhead_emitted += self.opts.access_node_overhead;
                     ops.push(POp::Work(WorkPacket::cpu(
-                        self.scale(view.length(child)) + self.opts.access_node_overhead,
+                        self.scale(tree.length(child)) + self.opts.access_node_overhead,
                     )));
                 }
                 ViewKind::L { lock } => {
@@ -214,7 +212,7 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
                     }
                     ops.push(POp::Locked {
                         lock,
-                        work: WorkPacket::cpu(self.scale(view.length(child))),
+                        work: WorkPacket::cpu(self.scale(tree.length(child))),
                     });
                 }
                 other => unreachable!("invalid node under stage: {}", other.tag()),
@@ -227,11 +225,11 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
     fn pipe_ir(&mut self, pipe: NodeId) -> machsim::prog::PipeSection {
         let mut items = Vec::new();
         let mut stages = 0u32;
-        let view = self.view;
-        for item in view.expanded(pipe) {
+        let tree = self.tree;
+        for item in tree.expanded(pipe) {
             let mut stage_ops = Vec::new();
-            for st in view.expanded(item) {
-                match view.kind(st) {
+            for st in tree.expanded(item) {
+                match tree.kind(st) {
                     ViewKind::Stage { .. } => stage_ops.push(self.stage_ops(st)),
                     other => unreachable!("invalid node under pipe item: {}", other.tag()),
                 }
@@ -245,13 +243,13 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
     }
 
     fn section_ir(&mut self, sec: NodeId) -> ParSection {
-        let view = self.view;
-        let nowait = match view.kind(sec) {
+        let tree = self.tree;
+        let nowait = match tree.kind(sec) {
             ViewKind::Sec { nowait, .. } => nowait,
             other => unreachable!("expected Sec, got {}", other.tag()),
         };
         let tasks: TaskList = if self.opts.expand_runs {
-            view.expanded(sec)
+            tree.expanded(sec)
                 .map(|t| self.task_body(t))
                 .collect::<Vec<_>>()
                 .into()
@@ -262,15 +260,16 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
             // charge the cached per-body overhead in one multiply —
             // exactly the sum the expanded path accumulates one memo hit
             // at a time.
-            let runs: Vec<(Rc<TaskBody>, u32)> = view
-                .child_runs(sec)
-                .map(|(t, count)| {
-                    let body = self.task_body(t);
-                    if count > 1 {
-                        let h = self.cached_overhead(t, &body);
-                        self.overhead_emitted += (count as u64 - 1) * h;
+            let runs: Vec<(Rc<TaskBody>, u32)> = tree
+                .runs_of(sec)
+                .iter()
+                .map(|run| {
+                    let body = self.task_body(run.node);
+                    if run.count > 1 {
+                        let h = self.cached_overhead(run.node, &body);
+                        self.overhead_emitted += (run.count as u64 - 1) * h;
                     }
-                    (body, count)
+                    (body, run.count)
                 })
                 .collect();
             TaskList::from_runs(runs)
@@ -319,8 +318,8 @@ fn body_overhead(body: &TaskBody, opts: &SynthOptions) -> u64 {
 }
 
 /// Burden factor of a top-level region under `opts`.
-fn region_burden<'t, V: TreeView<'t>>(view: V, sec: NodeId, opts: &SynthOptions) -> f64 {
-    match view.kind(sec) {
+fn region_burden(tree: &FlatTree, sec: NodeId, opts: &SynthOptions) -> f64 {
+    match tree.kind(sec) {
         ViewKind::Sec { burden, .. } | ViewKind::Pipe { burden, .. } if opts.use_burden => {
             burden_factor(burden, opts.threads)
         }
@@ -329,43 +328,25 @@ fn region_burden<'t, V: TreeView<'t>>(view: V, sec: NodeId, opts: &SynthOptions)
 }
 
 /// Generate the program the synthesizer would measure for top-level
-/// section (or pipeline) `sec`, plus the logical traversal-overhead
+/// section (or pipeline) `sec`, a *flat* node id (map source-tree ids
+/// with [`FlatTree::flat_id`]), plus the logical traversal-overhead
 /// cycles it embeds. Public so the run-batched and force-expanded
 /// emission paths can be compared structurally (`tests/ff_runaware.rs`).
 pub fn section_program(
-    tree: &ProgramTree,
+    tree: &FlatTree,
     sec: NodeId,
     opts: &SynthOptions,
 ) -> (ParallelProgram, u64) {
-    section_program_on(tree, sec, opts)
-}
-
-/// [`section_program`] over a pre-built [`FlatTree`] arena; `sec` is a
-/// *flat* node id (map pointer-tree ids with [`FlatTree::flat_id`]).
-pub fn section_program_flat(
-    flat: &FlatTree,
-    sec: NodeId,
-    opts: &SynthOptions,
-) -> (ParallelProgram, u64) {
-    section_program_on(flat, sec, opts)
-}
-
-fn section_program_on<'t, V: TreeView<'t>>(
-    view: V,
-    sec: NodeId,
-    opts: &SynthOptions,
-) -> (ParallelProgram, u64) {
-    let burden = region_burden(view, sec, opts);
+    let burden = region_burden(tree, sec, opts);
     let mut gen = Gen {
-        view,
+        tree,
         factor: burden,
         opts: *opts,
         memo: HashMap::new(),
         ovh_memo: HashMap::new(),
         overhead_emitted: 0,
-        _tree: PhantomData,
     };
-    let top_op = match view.kind(sec) {
+    let top_op = match tree.kind(sec) {
         ViewKind::Pipe { .. } => POp::Pipe(gen.pipe_ir(sec)),
         _ => POp::Par(gen.section_ir(sec)),
     };
@@ -374,14 +355,14 @@ fn section_program_on<'t, V: TreeView<'t>>(
 
 /// Generate the section's IR and measure it on `machine` (fresh or
 /// freshly [`machsim::Machine::reset`]).
-fn run_section<'t, V: TreeView<'t>>(
-    view: V,
+fn run_section(
+    tree: &FlatTree,
     sec: NodeId,
     opts: &SynthOptions,
     machine: &mut machsim::Machine,
 ) -> Result<SectionEmul, RunError> {
-    let (program, overhead_emitted) = section_program_on(view, sec, opts);
-    let burden = region_burden(view, sec, opts);
+    let (program, overhead_emitted) = section_program(tree, sec, opts);
+    let burden = region_burden(tree, sec, opts);
 
     let is_pipe = matches!(program.ops.first(), Some(POp::Pipe(_)));
     let stats = match opts.paradigm {
@@ -410,88 +391,54 @@ fn run_section<'t, V: TreeView<'t>>(
         );
     }
     Ok(SectionEmul {
-        serial_cycles: view.length(sec),
+        serial_cycles: tree.length(sec),
         gross_cycles: gross,
         net_cycles: net,
         burden,
     })
 }
 
-/// Predict the speedup of `tree` with the synthesizer.
+/// Predict the speedup of the flattened program tree `flat` with the
+/// synthesizer. Build the arena once per tree and reuse it for every
+/// prediction over it.
 ///
 /// One measurement machine is allocated for the whole prediction and
 /// [`machsim::Machine::reset`] between top-level sections, so the
 /// event-heap/ready-queue allocations are paid once, not per section.
 /// Each section still observes a logically fresh machine (clock at 0).
-/// The tree is flattened into a [`FlatTree`] arena first; IR generation
-/// walks the contiguous run buffer. Use [`predict_flat`] to amortise
-/// the conversion, or [`predict_ptr`] for the pointer-tree baseline.
-pub fn predict(tree: &ProgramTree, opts: &SynthOptions) -> Result<SynthPrediction, RunError> {
-    let flat = FlatTree::from_tree(tree);
-    predict_on(&flat, opts)
-}
-
-/// [`predict`] directly over a pre-built [`FlatTree`] arena.
 pub fn predict_flat(flat: &FlatTree, opts: &SynthOptions) -> Result<SynthPrediction, RunError> {
-    predict_on(flat, opts)
+    predict_on(flat, opts, machsim::Machine::new(opts.machine))
 }
 
-/// [`predict`] over the pointer tree without flattening — the baseline
-/// leg of the arena-vs-pointer benchmark and equivalence tests.
-pub fn predict_ptr(tree: &ProgramTree, opts: &SynthOptions) -> Result<SynthPrediction, RunError> {
-    predict_on(tree, opts)
-}
-
-fn predict_on<'t, V: TreeView<'t>>(
-    view: V,
-    opts: &SynthOptions,
-) -> Result<SynthPrediction, RunError> {
-    let mut machine = machsim::Machine::new(opts.machine);
-    let mut used = false;
-    predict_with(view, opts, move |sec| {
-        if used {
-            machine.reset();
-        }
-        used = true;
-        run_section(view, sec, opts, &mut machine)
-    })
-}
-
-/// [`predict`], recording every measurement machine's scheduler events
-/// plus the synthesizer's overhead-subtraction corrections on `obs`.
-/// The measurement machine's virtual clock restarts at 0 for every
-/// top-level section, so timestamps are section-local.
+/// [`predict_flat`], recording every measurement machine's scheduler
+/// events plus the synthesizer's overhead-subtraction corrections on
+/// `obs`. The measurement machine's virtual clock restarts at 0 for
+/// every top-level section, so timestamps are section-local.
 pub fn predict_with_obs(
-    tree: &ProgramTree,
+    flat: &FlatTree,
     opts: &SynthOptions,
     obs: prophet_obs::ObsHandle,
 ) -> Result<SynthPrediction, RunError> {
-    let flat = FlatTree::from_tree(tree);
-    let view = &flat;
     let mut machine = machsim::Machine::new(opts.machine);
     machine.attach_obs(obs);
-    let mut used = false;
-    predict_with(view, opts, move |sec| {
-        if used {
-            machine.reset();
-        }
-        used = true;
-        run_section(view, sec, opts, &mut machine)
-    })
+    predict_on(flat, opts, machine)
 }
 
-fn predict_with<'t, V: TreeView<'t>>(
-    view: V,
+fn predict_on(
+    tree: &FlatTree,
     opts: &SynthOptions,
-    mut emul: impl FnMut(NodeId) -> Result<SectionEmul, RunError>,
+    mut machine: machsim::Machine,
 ) -> Result<SynthPrediction, RunError> {
     assert!(opts.threads >= 1, "synthesizer needs at least one thread");
-    let serial_cycles = view.total_length();
-    let serial_top = view.top_level_serial_length();
+    let serial_cycles = tree.total_length();
+    let serial_top = tree.top_level_serial_length();
     let mut sections = Vec::new();
     let mut emulated_total = serial_top;
-    for sec in view.top_level_regions() {
-        let e = emul(sec)?;
+    for (i, sec) in tree.top_level_regions().into_iter().enumerate() {
+        if i > 0 {
+            machine.reset();
+        }
+        let e = run_section(tree, sec, opts, &mut machine)?;
         emulated_total += e.net_cycles;
         sections.push(e);
     }
@@ -507,11 +454,10 @@ fn predict_with<'t, V: TreeView<'t>>(
 /// Sweep thread counts (capped at the machine's cores, which is all the
 /// synthesizer can measure) and return `(threads, speedup)`.
 pub fn speedup_curve(
-    tree: &ProgramTree,
+    flat: &FlatTree,
     base: &SynthOptions,
     thread_counts: &[u32],
 ) -> Result<Vec<(u32, f64)>, RunError> {
-    let flat = FlatTree::from_tree(tree);
     let mut out = Vec::new();
     for &t in thread_counts {
         if t > base.machine.cores {
@@ -519,7 +465,7 @@ pub fn speedup_curve(
         }
         let mut o = *base;
         o.threads = t;
-        out.push((t, predict_flat(&flat, &o)?.speedup));
+        out.push((t, predict_flat(flat, &o)?.speedup));
     }
     Ok(out)
 }
@@ -527,7 +473,11 @@ pub fn speedup_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proftree::TreeBuilder;
+    use proftree::{ProgramTree, TreeBuilder};
+
+    fn predict(tree: &ProgramTree, opts: &SynthOptions) -> Result<SynthPrediction, RunError> {
+        predict_flat(&FlatTree::from_tree(tree), opts)
+    }
 
     fn zero_opts(threads: u32, paradigm: Paradigm, cores: u32) -> SynthOptions {
         let mut o = SynthOptions::new(threads, paradigm);
@@ -681,7 +631,7 @@ mod tests {
     fn curve_skips_thread_counts_beyond_machine() {
         let tree = balanced_loop(8, 1_000);
         let o = zero_opts(1, Paradigm::OpenMp, 4);
-        let curve = speedup_curve(&tree, &o, &[1, 2, 4, 8, 12]).unwrap();
+        let curve = speedup_curve(&FlatTree::from_tree(&tree), &o, &[1, 2, 4, 8, 12]).unwrap();
         let counts: Vec<u32> = curve.iter().map(|&(t, _)| t).collect();
         assert_eq!(counts, vec![1, 2, 4]);
     }

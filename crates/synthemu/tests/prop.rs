@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use machsim::{Paradigm, Schedule};
-use proftree::{ProgramTree, TreeBuilder};
-use synthemu::{predict, SynthOptions};
+use proftree::{FlatTree, ProgramTree, TreeBuilder};
+use synthemu::{predict_flat, SynthOptions};
 use workloads::{run_real, RealOptions};
 
 #[derive(Debug, Clone)]
@@ -93,7 +93,7 @@ proptest! {
         let mut so = SynthOptions::new(threads, Paradigm::OpenMp);
         so.schedule = schedule;
         so.use_burden = false;
-        let pred = predict(&tree, &so).expect("synthesizer");
+        let pred = predict_flat(&FlatTree::from_tree(&tree), &so).expect("synthesizer");
 
         let rel = (pred.speedup - real.speedup).abs() / real.speedup;
         prop_assert!(
@@ -149,7 +149,7 @@ proptest! {
             o.recursive_call_overhead = 0;
             o
         };
-        let pred = predict(&tree, &so).expect("synthesizer");
+        let pred = predict_flat(&FlatTree::from_tree(&tree), &so).expect("synthesizer");
         let rel = (pred.speedup - real.speedup).abs() / real.speedup;
         prop_assert!(
             rel < 0.20,

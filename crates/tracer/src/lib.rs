@@ -461,21 +461,6 @@ pub fn profile(program: &dyn AnnotatedProgram, opts: ProfileOptions) -> ProfileR
         .unwrap_or_else(|e| panic!("annotation error in {}: {e}", program.name()))
 }
 
-/// [`profile`] with a `prophet-obs` recorder attached: annotation pairs
-/// become spans on the serial virtual clock and the accumulated tracer
-/// overhead is recorded at the end of the run.
-pub fn profile_with_obs(
-    program: &dyn AnnotatedProgram,
-    opts: ProfileOptions,
-    obs: prophet_obs::ObsHandle,
-) -> ProfileResult {
-    let mut t = Tracer::new(opts);
-    t.attach_obs(obs);
-    program.run(&mut t);
-    t.finish()
-        .unwrap_or_else(|e| panic!("annotation error in {}: {e}", program.name()))
-}
-
 /// Serializable summary of a profile (for experiment dumps).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProfileSummary {

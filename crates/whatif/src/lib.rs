@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use machsim::{MachineConfig, Paradigm, Schedule};
 use omp_rt::OmpOverheads;
 use proftree::visit::child_entries;
-use proftree::{ChildList, Node, NodeId, NodeKind, ProgramTree};
+use proftree::{ChildList, FlatTree, Node, NodeId, NodeKind, ProgramTree};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -436,7 +436,7 @@ pub fn scoped_tree(tree: &ProgramTree, keep: NodeId) -> ProgramTree {
 
 /// Run one emulation with the sweep engine's exact option construction.
 fn emulate(
-    tree: &ProgramTree,
+    tree: &FlatTree,
     threads: u32,
     schedule: Schedule,
     spec_model: Model,
@@ -445,7 +445,7 @@ fn emulate(
 ) -> (f64, u64, u64) {
     match spec_model {
         Model::Ff => {
-            let p = ffemu::predict(
+            let p = ffemu::predict_flat(
                 tree,
                 ffemu::FfOptions {
                     cpus: threads,
@@ -465,7 +465,7 @@ fn emulate(
             so.schedule = schedule;
             so.use_burden = memory_model;
             so.omp_overheads = env.overheads;
-            let p = synthemu::predict(tree, &so).expect("synthesizer run");
+            let p = synthemu::predict_flat(tree, &so).expect("synthesizer run");
             (p.speedup, p.predicted_cycles, p.serial_cycles)
         }
     }
@@ -517,8 +517,12 @@ pub fn analyze(
 
     // Causal grid: one scoped tree per region, emulated at every
     // (threads, schedule) point. Synthesizer points beyond the machine's
-    // cores are skipped, exactly like the sweep engine.
-    let scoped: Vec<ProgramTree> = regions.iter().map(|r| scoped_tree(tree, r.node)).collect();
+    // cores are skipped, exactly like the sweep engine. Each scoped tree
+    // is flattened once for all of its grid points.
+    let scoped: Vec<FlatTree> = regions
+        .iter()
+        .map(|r| FlatTree::from_tree(&scoped_tree(tree, r.node)))
+        .collect();
     let mut grid: Vec<(usize, u32, Schedule)> = Vec::new();
     for (i, _) in regions.iter().enumerate() {
         for &k in &spec.threads {
@@ -560,6 +564,7 @@ pub fn analyze(
     // all-regions work/span bound, emulate survivors, stop at the first
     // configuration reaching the target (minimum cores).
     let inverse = spec.target_speedup.map(|target| {
+        let flat = FlatTree::from_tree(tree);
         let par_work: u64 = regions.iter().map(|r| r.work).sum();
         let par_span: u64 = regions.iter().map(|r| r.span).sum();
         let mut candidates: Vec<u32> = spec.threads.clone();
@@ -579,7 +584,7 @@ pub fn analyze(
             }
             let mut best: Option<ParetoPoint> = None;
             for &s in &spec.schedules {
-                let (speedup, _, _) = emulate(tree, k, s, spec.model, spec.memory_model, env);
+                let (speedup, _, _) = emulate(&flat, k, s, spec.model, spec.memory_model, env);
                 emulated += 1;
                 if best.as_ref().is_none_or(|b| speedup > b.speedup) {
                     best = Some(ParetoPoint {
@@ -903,8 +908,14 @@ mod tests {
             ..WhatifSpec::default()
         };
         let (report, _) = analyze("t", &tree, &spec, &env, 1);
-        let (speedup, predicted, _) =
-            emulate(&tree, 4, Schedule::static_block(), Model::Ff, true, &env);
+        let (speedup, predicted, _) = emulate(
+            &FlatTree::from_tree(&tree),
+            4,
+            Schedule::static_block(),
+            Model::Ff,
+            true,
+            &env,
+        );
         assert_eq!(report.causal[0].speedup.to_bits(), speedup.to_bits());
         assert_eq!(report.causal[0].predicted_cycles, predicted);
     }

@@ -67,11 +67,6 @@ impl Test1Params {
             lock_prob: [rng.gen_range(0.0..=1.0), rng.gen_range(0.0..=1.0)],
         }
     }
-
-    /// Nominal total work units (for scaling checks).
-    pub fn approx_total_work(&self) -> u64 {
-        self.i_max * (self.min_cost + self.max_cost) / 2
-    }
 }
 
 /// Deterministic per-iteration coin flip.

@@ -2,9 +2,11 @@
 //! *bit-identical* to per-iteration expansion, for every workload the
 //! repo ships, across the full thread × schedule matrix.
 //!
-//! Two comparisons per point:
+//! Two comparisons per point, both over the workload's
+//! [`proftree::FlatTree`] arena (flattened once per workload, as every
+//! caller of the emulators does):
 //!
-//! * **FF**: `ffemu::predict` with `expand_runs: false` (run-aware, the
+//! * **FF**: `ffemu::predict_flat` with `expand_runs: false` (run-aware, the
 //!   default) against `expand_runs: true` (forced per-iteration heap
 //!   emulation). Cycles, speedup bits, and per-section breakdowns must
 //!   match exactly — the fast path is an optimisation, never a model
@@ -16,15 +18,13 @@
 //!   overhead totals must match, for every section of every profiled
 //!   tree.
 //!
-//! A third axis pins the arena port: the default predict paths walk a
-//! contiguous [`proftree::FlatTree`] arena, and `predict_ptr` keeps the
-//! original pointer-tree walk as a baseline. The two must agree
-//! bit-for-bit — cycles, speedup bits, section breakdowns, and the
-//! synthesizer IR emitted per section — across the same matrix.
+//! That the arena reads back the profiled tree exactly (kinds, lengths,
+//! child runs, top-level regions) is pinned separately by proftree's
+//! `wire_and_flat_round_trip` property.
 
 use prophet_core::machsim::{Paradigm, Schedule};
 use prophet_core::omp_rt::OmpOverheads;
-use prophet_core::proftree::{self, NodeKind, ProgramTree};
+use prophet_core::proftree::{self, FlatTree, NodeKind, ProgramTree};
 use prophet_core::{ffemu, synthemu, Prophet};
 use workloads::npb::{Cg, Ep, Ft, Is, Mg};
 use workloads::ompscr::{Fft, Jacobi, Lu, Mandelbrot, Md, Pi, QSort};
@@ -83,12 +83,10 @@ fn ff_opts(cpus: u32, schedule: Schedule, expand_runs: bool) -> ffemu::FfOptions
     }
 }
 
-/// Assert run-aware FF equals forced-expansion FF on `tree`, exactly,
-/// and that the arena walk (`predict`, the default) equals the
-/// pointer-tree walk (`predict_ptr`) bit-for-bit.
-fn assert_ff_equivalent(name: &str, tree: &ProgramTree, cpus: u32, schedule: Schedule) {
-    let fast = ffemu::predict(tree, ff_opts(cpus, schedule, false));
-    let slow = ffemu::predict(tree, ff_opts(cpus, schedule, true));
+/// Assert run-aware FF equals forced-expansion FF on `flat`, exactly.
+fn assert_ff_equivalent(name: &str, flat: &FlatTree, cpus: u32, schedule: Schedule) {
+    let fast = ffemu::predict_flat(flat, ff_opts(cpus, schedule, false));
+    let slow = ffemu::predict_flat(flat, ff_opts(cpus, schedule, true));
     let ctx = format!("{name} cpus={cpus} sched={schedule:?}");
     assert_eq!(fast.predicted_cycles, slow.predicted_cycles, "{ctx}");
     assert_eq!(fast.serial_cycles, slow.serial_cycles, "{ctx}");
@@ -98,84 +96,35 @@ fn assert_ff_equivalent(name: &str, tree: &ProgramTree, cpus: u32, schedule: Sch
         "{ctx}: speedup bits differ"
     );
     assert_eq!(fast.sections, slow.sections, "{ctx}: section breakdowns");
-
-    // The run-aware leg again, through the pointer-tree walk: `fast`
-    // came off the arena, `ptr` must match it bit-for-bit.
-    let ptr = ffemu::predict_ptr(tree, ff_opts(cpus, schedule, false));
-    assert_eq!(fast.predicted_cycles, ptr.predicted_cycles, "{ctx}: arena");
-    assert_eq!(fast.serial_cycles, ptr.serial_cycles, "{ctx}: arena");
-    assert_eq!(
-        fast.speedup.to_bits(),
-        ptr.speedup.to_bits(),
-        "{ctx}: arena speedup bits differ from pointer walk"
-    );
-    assert_eq!(fast.sections, ptr.sections, "{ctx}: arena sections");
 }
 
 /// Assert run-batched synthesizer IR equals per-iteration emission for
-/// every Sec/Pipe node in `tree`.
-fn assert_syn_equivalent(name: &str, tree: &ProgramTree, threads: u32, schedule: Schedule) {
+/// every Sec/Pipe node in `tree` (`flat` is its arena).
+fn assert_syn_equivalent(
+    name: &str,
+    tree: &ProgramTree,
+    flat: &FlatTree,
+    threads: u32,
+    schedule: Schedule,
+) {
     let mut batched = synthemu::SynthOptions::new(threads, Paradigm::OpenMp);
     batched.schedule = schedule;
     batched.use_burden = true;
     let mut expanded = batched;
     expanded.expand_runs = true;
-    let flat = proftree::FlatTree::from_tree(tree);
     proftree::visit::walk(tree, |id, _| {
         if matches!(
             tree.node(id).kind,
             NodeKind::Sec { .. } | NodeKind::Pipe { .. }
         ) {
-            let (pb, ob) = synthemu::section_program(tree, id, &batched);
-            let (pe, oe) = synthemu::section_program(tree, id, &expanded);
+            let (pb, ob) = synthemu::section_program(flat, flat.flat_id(id), &batched);
+            let (pe, oe) = synthemu::section_program(flat, flat.flat_id(id), &expanded);
             let ctx = format!("{name} sec={id} threads={threads} sched={schedule:?}");
             assert_eq!(pb, pe, "{ctx}: programs differ");
             assert_eq!(ob, oe, "{ctx}: overhead totals differ");
-            // The arena emitter must generate the identical program.
-            let (pf, of) = synthemu::section_program_flat(&flat, flat.flat_id(id), &batched);
-            assert_eq!(pb, pf, "{ctx}: arena program differs");
-            assert_eq!(ob, of, "{ctx}: arena overhead differs");
         }
         true
     });
-}
-
-/// End-to-end arena-vs-pointer agreement at one matrix point per
-/// emulator (the expensive legs — full emulation / IR machine runs —
-/// so once per workload, not once per matrix cell; the cell-level
-/// equivalence above already pins the cheap paths everywhere).
-fn assert_arena_end_to_end(name: &str, tree: &ProgramTree) {
-    let cpus = 4;
-    let sched = Schedule::static_block();
-
-    let flat = ffemu::predict(tree, ff_opts(cpus, sched, true));
-    let ptr = ffemu::predict_ptr(tree, ff_opts(cpus, sched, true));
-    assert_eq!(flat.predicted_cycles, ptr.predicted_cycles, "{name}: ff");
-    assert_eq!(
-        flat.speedup.to_bits(),
-        ptr.speedup.to_bits(),
-        "{name}: ff expanded arena speedup bits differ from pointer walk"
-    );
-    assert_eq!(flat.sections, ptr.sections, "{name}: ff sections");
-
-    let mut opts = synthemu::SynthOptions::new(cpus, Paradigm::OpenMp);
-    opts.schedule = sched;
-    opts.use_burden = true;
-    match (
-        synthemu::predict(tree, &opts),
-        synthemu::predict_ptr(tree, &opts),
-    ) {
-        (Ok(f), Ok(p)) => {
-            assert_eq!(f.predicted_cycles, p.predicted_cycles, "{name}: syn");
-            assert_eq!(f.serial_cycles, p.serial_cycles, "{name}: syn");
-            assert_eq!(
-                f.speedup.to_bits(),
-                p.speedup.to_bits(),
-                "{name}: syn arena speedup bits differ from pointer walk"
-            );
-        }
-        (f, p) => panic!("{name}: syn predict paths disagree on success: {f:?} vs {p:?}"),
-    }
 }
 
 #[test]
@@ -183,9 +132,10 @@ fn runaware_matches_expanded_across_workload_matrix() {
     let prophet = Prophet::new();
     for (name, w) in all_workloads() {
         let profiled = prophet.profile(w.as_ref());
+        let flat = FlatTree::from_tree(&profiled.tree);
         for &cpus in &THREADS {
             for sched in schedules() {
-                assert_ff_equivalent(name, &profiled.tree, cpus, sched);
+                assert_ff_equivalent(name, &flat, cpus, sched);
             }
         }
         // The synthesizer IR depends on threads only through the burden
@@ -193,9 +143,8 @@ fn runaware_matches_expanded_across_workload_matrix() {
         // into the program), but sweep the same axes to pin that down.
         for &threads in &THREADS {
             for sched in schedules() {
-                assert_syn_equivalent(name, &profiled.tree, threads, sched);
+                assert_syn_equivalent(name, &profiled.tree, &flat, threads, sched);
             }
         }
-        assert_arena_end_to_end(name, &profiled.tree);
     }
 }

@@ -154,6 +154,7 @@ fn traced_ff_matches_untraced_on_dynamic_and_guided() {
     let prophet = Prophet::new();
     for w in [&Lu::paper() as &dyn Benchmark, &Md::paper()] {
         let profiled = prophet.profile(w);
+        let flat = prophet_core::proftree::FlatTree::from_tree(&profiled.tree);
         for schedule in [
             machsim::Schedule::dynamic1(),
             machsim::Schedule::Guided { min_chunk: 4 },
@@ -163,10 +164,10 @@ fn traced_ff_matches_untraced_on_dynamic_and_guided() {
                 opts.schedule = schedule;
                 opts.contended_lock_penalty = prophet.machine().context_switch_cycles;
                 let ctx = format!("{} {schedule:?} cpus={cpus}", w.spec().name);
-                let (fast, counters) = ffemu::predict_counting(&profiled.tree, opts);
+                let (fast, counters) = ffemu::predict_counting_flat(&flat, opts);
                 assert!(counters.runs_fastpathed > 0, "{ctx}: no closed form taken");
                 let obs = ObsHandle::new(Recorder::with_capacity(1 << 14));
-                let traced = ffemu::predict_with_obs(&profiled.tree, opts, obs.clone());
+                let traced = ffemu::predict_with_obs(&flat, opts, obs.clone());
                 assert_eq!(traced.predicted_cycles, fast.predicted_cycles, "{ctx}");
                 assert_eq!(traced.sections, fast.sections, "{ctx}");
                 assert_eq!(traced.speedup.to_bits(), fast.speedup.to_bits(), "{ctx}");

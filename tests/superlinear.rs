@@ -83,7 +83,7 @@ fn trend_aware_burden_tracks_trended_ground_truth() {
     let ff = |tree: &proftree::ProgramTree| {
         let mut o = prophet_core::ffemu::FfOptions::new(threads);
         o.schedule = Schedule::static_block();
-        prophet_core::ffemu::predict(tree, o).speedup
+        prophet_core::ffemu::predict_flat(&proftree::FlatTree::from_tree(tree), o).speedup
     };
     let pred_base = ff(&profiled.tree);
 
